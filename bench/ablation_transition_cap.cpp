@@ -7,10 +7,10 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/experiment.h"
 #include "core/session.h"
 #include "policy/read_policy.h"
 #include "policy/static_policy.h"
+#include "util/stats.h"
 #include "util/table.h"
 #include "workload/synthetic.h"
 

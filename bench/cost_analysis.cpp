@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "bench_common.h"
-#include "core/experiment.h"
 #include "core/session.h"
 #include "policy/maid_policy.h"
 #include "policy/pdc_policy.h"

@@ -1,5 +1,5 @@
 // micro_benchmarks — google-benchmark microbenchmarks for the hot paths:
-// event queue, Zipf sampling, disk service, PRESS evaluation, and
+// idle-timer re-arm, Zipf sampling, disk service, PRESS evaluation, and
 // end-to-end simulation throughput. These guard against performance
 // regressions that would make the Fig. 7 grid impractical.
 #include <benchmark/benchmark.h>
@@ -13,7 +13,6 @@
 #include "policy/read_policy.h"
 #include "policy/static_policy.h"
 #include "press/press_model.h"
-#include "sim/event_queue.h"
 #include "sim/idle_timer.h"
 #include "trace/csv_trace.h"
 #include "trace/stream_reader.h"
@@ -24,24 +23,8 @@ namespace {
 
 using namespace pr;
 
-void BM_EventQueuePushPop(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  for (auto _ : state) {
-    EventQueue<int> q;
-    for (std::size_t i = 0; i < n; ++i) {
-      q.push(Seconds{rng.uniform()}, static_cast<int>(i));
-    }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_EventQueuePushPop)->Arg(1'000)->Arg(100'000);
-
 // The DPM scheduling pattern: every serve re-arms the disk's single idle
-// deadline. The queue-based alternative pushes a fresh event per serve and
-// later pops the stale ones; the heap replaces in place, so n re-arms keep
-// the structure at |disks| entries instead of n.
+// deadline in place, so n re-arms keep the structure at |disks| entries.
 void BM_IdleTimerRearm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr std::uint32_t kDisks = 8;

@@ -48,7 +48,7 @@ class CountingObserver final : public SimObserver {
 /// One full run under READ (DPM enabled, so the idle-check machinery is
 /// actually exercised), for counter inspection and timing. StaticPolicy
 /// disables spin-downs entirely, which would leave the churn counters at
-/// zero regardless of the scheduling backend.
+/// zero.
 SimResult run_read(const SimConfig& sim, const SyntheticWorkload& w) {
   ReadPolicy policy;
   return run_simulation(sim, w.files, w.trace, policy, nullptr);
@@ -112,12 +112,6 @@ int main() {
 
   const double detached = time_run(sim, w, nullptr, reps);
 
-  // Same detached loop on the EventQueue fallback scheduler — the delta is
-  // what the per-disk timer heap buys on idle-check churn.
-  SimConfig sim_queue = sim;
-  sim_queue.idle_scheduler = IdleScheduler::kEventQueue;
-  const double detached_queue = time_run(sim_queue, w, nullptr, reps);
-
   CountingObserver counting;
   const double with_counting = time_run(sim, w, &counting, reps);
 
@@ -141,7 +135,6 @@ int main() {
                    pct(t / detached - 1.0, 1)});
   };
   row("detached (no observer)", detached);
-  row("detached (event-queue fallback)", detached_queue);
   row("counting observer", with_counting);
   row("timeseries (60 s windows)", with_timeseries);
   row("jsonl (discarded stream)", with_jsonl);
@@ -151,52 +144,28 @@ int main() {
   csv.row(std::string("configuration"), std::string("seconds"),
           std::string("vs_detached"));
   csv.row(std::string("detached"), detached, 0.0);
-  csv.row(std::string("detached_event_queue"), detached_queue,
-          detached_queue / detached - 1.0);
   csv.row(std::string("counting"), with_counting,
           with_counting / detached - 1.0);
   csv.row(std::string("timeseries"), with_timeseries,
           with_timeseries / detached - 1.0);
   csv.row(std::string("jsonl"), with_jsonl, with_jsonl / detached - 1.0);
 
-  // Idle-scheduling comparison under READ, where DPM is live and every
-  // serve (re-)arms a deadline. Timings plus the churn counters the
-  // snapshot script records next to them.
+  // Idle-check churn under READ, where DPM is live and every serve
+  // re-arms a deadline: the counters the snapshot script records.
   {
-    const double read_timer = time_read_run(sim, w, reps);
-    const double read_queue = time_read_run(sim_queue, w, reps);
-    const SimResult timer_result = run_read(sim, w);
-    const SimResult queue_result = run_read(sim_queue, w);
-
-    AsciiTable sched("Idle scheduling under READ (DPM live), same workload");
-    sched.set_header({"backend", "time (ms)", "ns/request", "idle checks",
-                      "stale"});
-    const auto srow = [&](const char* label, double t, const SimResult& r) {
-      sched.add_row({label, num(t * 1e3, 2), num(t * per_req, 1),
-                     std::to_string(r.counters.at("sim.idle_checks")),
-                     std::to_string(r.counters.at("sim.idle_checks_stale"))});
-    };
-    std::cout << "\n";
-    srow("timer heap (default)", read_timer, timer_result);
-    srow("event queue (fallback)", read_queue, queue_result);
-    sched.print(std::cout);
-
+    const double read_run = time_read_run(sim, w, reps);
+    const SimResult result = run_read(sim, w);
     bench::CsvSink churn("obs_overhead_counters");
-    churn.row(std::string("counter"), std::string("timer_heap"),
-              std::string("event_queue"));
+    churn.row(std::string("counter"), std::string("value"));
     for (const char* key :
-         {"sim.idle_checks", "sim.idle_checks_stale",
-          "sim.idle_checks_deferred", "sim.spin_downs",
+         {"sim.idle_checks", "sim.idle_checks_deferred", "sim.spin_downs",
           "sim.spin_ups_to_serve", "sim.epochs"}) {
-      const auto pick = [&](const SimResult& r) -> std::uint64_t {
-        const auto it = r.counters.find(key);
-        return it == r.counters.end() ? 0 : it->second;
-      };
-      churn.row(std::string(key), pick(timer_result), pick(queue_result));
+      const auto it = result.counters.find(key);
+      churn.row(std::string(key),
+                it == result.counters.end() ? std::uint64_t{0} : it->second);
     }
     churn.row(std::string("read_run_ns"),
-              static_cast<std::uint64_t>(read_timer * 1e9),
-              static_cast<std::uint64_t>(read_queue * 1e9));
+              static_cast<std::uint64_t>(read_run * 1e9));
   }
 
   std::cout << "\nThe detached configuration is the acceptance gate: every "

@@ -9,7 +9,6 @@
 #include <map>
 
 #include "bench_common.h"
-#include "core/experiment.h"
 #include "exp/scenario_engine.h"
 #include "util/stats.h"
 #include "util/table.h"

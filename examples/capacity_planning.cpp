@@ -3,16 +3,19 @@
 // evaluate existing energy-saving schemes' impacts on disk array
 // reliability, and thus choose the most appropriate one"):
 // given a reliability budget (max array AFR) and a response-time SLO,
-// sweep array sizes × policies and recommend the cheapest-energy
-// configuration that satisfies both.
+// sweep array sizes × policies through the scenario engine and recommend
+// the cheapest-energy configuration that satisfies both.
 //
 //   $ ./capacity_planning [max_afr_percent] [slo_ms] [--quick]
 //                         [--disks n,n,...]
 //
+// The two positionals are read in order (AFR budget first, then the SLO);
+// a malformed number is an error that names the argument.
 // --disks overrides the swept array sizes (paper default 6..16). Values
 // are validated through fleet_disk_count, so >4096-disk configurations
 // are accepted up to the 32-bit DiskId space and anything beyond fails
 // loudly instead of overflowing an int-typed disk index.
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -20,15 +23,12 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
-#include "core/experiment.h"
-#include "policy/maid_policy.h"
-#include "policy/pdc_policy.h"
-#include "policy/read_policy.h"
-#include "policy/static_policy.h"
+#include "exp/scenario_engine.h"
 #include "sim/fleet_sim.h"
+#include "util/parse.h"
 #include "util/table.h"
-#include "workload/synthetic.h"
 
 namespace {
 
@@ -61,54 +61,59 @@ int main(int argc, char** argv) try {
   double slo_ms = 15.0;
   bool quick = false;
   std::vector<std::size_t> disk_counts = {6, 8, 10, 12, 14, 16};
+  int positional = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--disks") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--disks") == 0) {
+      if (i + 1 >= argc) throw std::invalid_argument("--disks needs a value");
       disk_counts = parse_disk_list(argv[++i]);
-    } else if (max_afr == 0.20) {
-      max_afr = std::atof(argv[i]) / 100.0;
+    } else if (positional == 0) {
+      max_afr = parse_double(argv[i], "max_afr_percent") / 100.0;
+      ++positional;
+    } else if (positional == 1) {
+      slo_ms = parse_double(argv[i], "slo_ms");
+      ++positional;
     } else {
-      slo_ms = std::atof(argv[i]);
+      throw std::invalid_argument(std::string("unexpected argument '") +
+                                  argv[i] + "'");
     }
   }
 
-  auto workload_config = worldcup98_light_config(42);
+  ScenarioSpec spec;
+  spec.name = "capacity_planning";
+  spec.seeds = {42};
+  spec.disks = disk_counts;
+  spec.epochs = {3600.0};
+  ScenarioWorkload day;
+  day.name = "day";
+  day.preset = "wc98-light";
   if (quick) {
-    workload_config.file_count = 1'000;
-    workload_config.request_count = 80'000;
+    day.files = 1'000;
+    day.requests = 80'000;
   }
-  const auto workload = generate_workload(workload_config);
-
-  SweepConfig sweep;
-  sweep.base.sim.epoch = Seconds{3600.0};
-  sweep.disk_counts = disk_counts;
-
-  const std::vector<std::pair<std::string, PolicyFactory>> policies = {
-      {"READ", [] { return std::make_unique<ReadPolicy>(); }},
-      {"MAID", [] { return std::make_unique<MaidPolicy>(); }},
-      {"PDC", [] { return std::make_unique<PdcPolicy>(); }},
-      {"Static", [] { return std::make_unique<StaticPolicy>(); }},
-  };
-  const std::vector<NamedWorkload> workloads = {
-      {"day", &workload.files, &workload.trace}};
+  spec.workloads = {day};
+  spec.policies = {{"read", "READ", {}},
+                   {"maid", "MAID", {}},
+                   {"pdc", "PDC", {}},
+                   {"static", "Static", {}}};
 
   std::cout << "requirements: array AFR <= " << pct(max_afr, 1)
             << ", mean response time <= " << slo_ms << " ms\n"
-            << "sweeping " << policies.size() * sweep.disk_counts.size()
+            << "sweeping " << spec.policies.size() * spec.disks.size()
             << " configurations...\n\n";
-  const auto cells = run_sweep(sweep, policies, workloads);
+  const ScenarioResult result = run_scenario(spec);
 
   AsciiTable table("Configuration sweep (one WC98-like day)");
   table.set_header({"policy", "disks", "AFR", "mean RT (ms)", "energy (kJ)",
                     "feasible"});
-  std::optional<SweepCell> best;
-  for (const auto& cell : cells) {
+  std::optional<ScenarioCell> best;
+  for (const auto& cell : result.cells) {
     const bool afr_ok = cell.report.array_afr <= max_afr;
     const bool rt_ok =
         cell.report.sim.mean_response_time_s() * 1e3 <= slo_ms;
     const bool feasible = afr_ok && rt_ok;
-    table.add_row({cell.policy, std::to_string(cell.disk_count),
+    table.add_row({cell.policy, std::to_string(cell.disks),
                    pct(cell.report.array_afr, 2),
                    num(cell.report.sim.mean_response_time_s() * 1e3, 2),
                    num(cell.report.sim.energy_joules() / 1e3, 1),
@@ -126,7 +131,7 @@ int main(int argc, char** argv) try {
 
   if (best) {
     std::cout << "\nrecommendation: " << best->policy << " on "
-              << best->disk_count << " disks — "
+              << best->disks << " disks — "
               << num(best->report.sim.energy_joules() / 1e3, 1) << " kJ/day, AFR "
               << pct(best->report.array_afr, 2) << ", mean RT "
               << num(best->report.sim.mean_response_time_s() * 1e3, 2)

@@ -2,7 +2,7 @@
 # bench_snapshot.sh — capture a performance snapshot of the hot paths.
 #
 # Runs bench/obs_overhead (simulation-loop cost per configuration, plus
-# idle-check churn counters for both scheduling backends),
+# the idle-check churn counters of a READ run),
 # bench/micro_benchmarks (google-benchmark JSON),
 # bench/fleet_throughput (the BM_FleetThroughput family up to the
 # 10k-disk / 100M-request fleet day), and bench/redundancy_bench (the
@@ -109,10 +109,7 @@ with open(os.path.join(tmp, "obs_overhead.csv")) as f:
 
 with open(os.path.join(tmp, "obs_overhead_counters.csv")) as f:
     for row in csv.DictReader(f):
-        snapshot["sim_counters"][row["counter"]] = {
-            "timer_heap": int(row["timer_heap"]),
-            "event_queue": int(row["event_queue"]),
-        }
+        snapshot["sim_counters"][row["counter"]] = int(row["value"])
 
 with open(out, "w") as f:
     json.dump(snapshot, f, indent=2, sort_keys=True)

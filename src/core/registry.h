@@ -11,13 +11,23 @@
 // flag can reach any knob without a recompiled switch statement.
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/experiment.h"
+#include "sim/array_sim.h"
 #include "util/param_map.h"
+
+namespace pr {
+
+/// Builds a fresh policy per run (policies are stateful, so every sweep
+/// cell, fleet shard and repeated session run needs its own instance).
+using PolicyFactory = std::function<std::unique_ptr<Policy>()>;
+
+}  // namespace pr
 
 namespace pr::policies {
 

@@ -18,7 +18,7 @@
 
 #include <optional>
 
-#include "core/experiment.h"
+#include "core/registry.h"
 #include "core/system.h"
 #include "fault/fault_plan.h"
 #include "obs/observer.h"

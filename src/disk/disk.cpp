@@ -82,8 +82,7 @@ Seconds Disk::serve_positioned(Seconds arrival, Bytes bytes,
 
 void Disk::set_seek_curve(const SeekCurve& curve) {
   if (soa_->accounted_until[slot_] > Seconds{0.0} ||
-      soa_->ready_time[slot_] > Seconds{0.0} ||
-      soa_->activity_generation[slot_] != 0) {
+      soa_->ready_time[slot_] > Seconds{0.0} || served_any()) {
     throw std::logic_error("Disk::set_seek_curve: simulation already started");
   }
   seek_curve_ = curve;
@@ -94,7 +93,6 @@ Seconds Disk::serve_impl(Seconds arrival, Bytes bytes, bool internal,
   if (arrival < Seconds{0.0}) {
     throw std::invalid_argument("Disk::serve: negative arrival");
   }
-  ++soa_->activity_generation[slot_];
   const Seconds start = std::max(arrival, soa_->ready_time[slot_]);
   account_idle_until(start);
 
@@ -182,8 +180,7 @@ void Disk::finish(Seconds end) {
 
 void Disk::set_initial_speed(DiskSpeed speed) {
   if (soa_->accounted_until[slot_] > Seconds{0.0} ||
-      soa_->ready_time[slot_] > Seconds{0.0} ||
-      soa_->activity_generation[slot_] != 0 ||
+      soa_->ready_time[slot_] > Seconds{0.0} || served_any() ||
       soa_->ledger[slot_].transitions != 0) {
     throw std::logic_error(
         "Disk::set_initial_speed: simulation already started");

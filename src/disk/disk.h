@@ -83,12 +83,6 @@ class Disk {
   /// Close the ledger at simulation end (accounts trailing idle time).
   void finish(Seconds end);
 
-  /// Monotonically increasing count of serve() calls — used by DPM events
-  /// to detect "a request arrived since this idle-check was scheduled".
-  [[nodiscard]] std::uint64_t activity_generation() const {
-    return soa_->activity_generation[slot_];
-  }
-
   /// Instant up to which every moment of simulated time has been
   /// attributed to the ledger. Exposed for the PR_INVARIANT conservation
   /// checks at epoch boundaries (every ledger bucket must sum back to
@@ -135,6 +129,12 @@ class Disk {
   void account_idle_until(Seconds t);
   void add_time_at_speed(DiskSpeed s, Seconds dt);
   void note_transition_start(Seconds at);
+  /// True once any serve() ran: every serve books a user request or an
+  /// internal op.
+  [[nodiscard]] bool served_any() const {
+    const DiskLedger& l = soa_->ledger[slot_];
+    return l.requests + l.internal_ops != 0;
+  }
   Seconds serve_impl(Seconds arrival, Bytes bytes, bool internal,
                      std::optional<Cylinder> cylinder);
 

@@ -89,7 +89,7 @@ struct DiskLedger {
 /// Hot disk-array state, one contiguous lane per field. Owned by
 /// ArrayContext (shared across its Disk facades) or by a standalone Disk
 /// (a 1-slot instance). Lanes are grouped by access frequency:
-/// per-request (speed/ready/accounted/generation/ledger), per-transition
+/// per-request (speed/ready/accounted/ledger), per-transition
 /// (day bucketing, history), and positional (head).
 struct DiskArraySoA {
   DiskArraySoA() = default;
@@ -100,7 +100,6 @@ struct DiskArraySoA {
     initial_speed.assign(n, DiskSpeed::kHigh);
     ready_time.assign(n, Seconds{0.0});
     accounted_until.assign(n, Seconds{0.0});
-    activity_generation.assign(n, 0);
     ledger.assign(n, DiskLedger{});
     current_day.assign(n, 0);
     transitions_in_day.assign(n, 0);
@@ -114,7 +113,6 @@ struct DiskArraySoA {
   std::vector<DiskSpeed> speed;
   std::vector<Seconds> ready_time;        // earliest start for new work
   std::vector<Seconds> accounted_until;   // ledger coverage watermark
-  std::vector<std::uint64_t> activity_generation;
   std::vector<DiskLedger> ledger;
 
   // --- touched per transition -----------------------------------------

@@ -1,12 +1,11 @@
 // scenario_engine.h — expands a ScenarioSpec into concrete cells
 // (policy × workload × load × seed × epoch × disks × fault rate scale)
-// and fans them across the thread pool. This generalizes core/experiment.h's run_sweep (fixed
-// policy × workload × disks grid) into arbitrary declarative axes: each
-// (workload, load, seed) variant is generated once and shared by every
-// policy/epoch/disk cell, and results come back in *spec order* —
-// policy-major, then workload, load, seed, epoch, disks — regardless of
-// thread count, so serialized output is byte-identical for threads = 1
-// and threads = N.
+// and fans them across the thread pool — the library's one sweep engine.
+// Axes are declarative and arbitrary: each (workload, load, seed) variant
+// is generated once and shared by every policy/epoch/disk cell, and
+// results come back in *spec order* — policy-major, then workload, load,
+// seed, epoch, disks — regardless of thread count, so serialized output is
+// byte-identical for threads = 1 and threads = N.
 #pragma once
 
 #include <cstdint>

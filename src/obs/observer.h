@@ -91,7 +91,8 @@ struct RequestCompleteEvent {
   Seconds arrival{};
   Seconds completion{};
   FileId file = kInvalidFile;
-  /// Primary serving disk (first chunk's disk for striped requests).
+  /// Primary serving disk: the first chunk's disk, or the live copy it
+  /// was redirected to when that disk had failed.
   DiskId disk = 0;
   Bytes bytes = 0;
   /// Seconds of already-queued work at the serving disk(s) on arrival —

@@ -37,7 +37,7 @@ void OnlineReadPolicy::after_serve(ArrayContext& ctx, const Request& req,
       count > bar_ + online_.promote_margin) {
     // Promote now: the migration's background I/O lands before the
     // simulator arms this request's idle checks, the same window MAID
-    // uses for cache fills — deterministic in both schedulers.
+    // uses for cache fills.
     ctx.migrate(req.file, next_hot_disk());
     hot_file_[req.file] = 1;
     ++online_promotions_;

@@ -17,8 +17,7 @@ ArrayContext::ArrayContext(const SimConfig& config, const FileSet& files)
   if (config.disk_count == 0) {
     throw std::invalid_argument("ArrayContext: disk_count == 0");
   }
-  use_timer_ = config.idle_scheduler == IdleScheduler::kTimerHeap;
-  if (use_timer_) idle_timer_.resize(config.disk_count);
+  idle_timer_.resize(config.disk_count);
   h_policy_transitions_ = counters_.intern("sim.policy_transitions");
   soa_ = std::make_unique<DiskArraySoA>(config.disk_count);
   disks_.reserve(config.disk_count);
@@ -166,17 +165,7 @@ void ArrayContext::schedule_idle_check(DiskId d, Seconds completion) {
   if (!dpm_[d].spin_down_when_idle) return;
   const Seconds deadline = completion + dpm_[d].idleness_threshold;
   if (deadline < wake_hint_) wake_hint_ = deadline;
-  if (use_timer_) {
-    idle_timer_.arm(d, deadline, idle_seq_++);
-  } else {
-    idle_events_.push(deadline, IdleCheck{d, disks_[d].activity_generation()});
-  }
-}
-
-void ArrayContext::cancel_idle_check(DiskId d) {
-  if (use_timer_) idle_timer_.disarm(d);
-  // Queue mode needs nothing: the serve that preceded every cancellation
-  // bumped the disk's activity generation, so the pending event is stale.
+  idle_timer_.arm(d, deadline, idle_seq_++);
 }
 
 /// Unit of request pull from the source (see RequestSource::next_batch).
@@ -197,7 +186,6 @@ class ArraySimulator {
         epoch_len_(config.epoch),
         h_epochs_(ctx_.counters_.intern("sim.epochs")),
         h_idle_checks_(ctx_.counters_.intern("sim.idle_checks")),
-        h_idle_stale_(ctx_.counters_.intern("sim.idle_checks_stale")),
         h_idle_deferred_(ctx_.counters_.intern("sim.idle_checks_deferred")),
         h_spin_downs_(ctx_.counters_.intern("sim.spin_downs")),
         h_spin_vetoed_(ctx_.counters_.intern("sim.spin_downs_vetoed")),
@@ -282,7 +270,7 @@ class ArraySimulator {
     // hint: while arrivals stay strictly below the earliest pending
     // deferred event, the drain machinery is one comparison. Both are
     // transport/caching details — the per-request event interleaving is
-    // unchanged, which the seed-layout and scheduler goldens pin.
+    // unchanged, which the seed-layout and degraded-path goldens pin.
     std::array<Request, kRequestBatch> batch;
     for (std::size_t filled = 0;
          (filled = source_.next_batch(batch.data(), batch.size())) > 0;) {
@@ -317,144 +305,43 @@ class ArraySimulator {
       request_slowed_ = false;
       request_slowdown_ = 1.0;
 
-      Seconds completion{0.0};
-      DiskId primary = kInvalidDisk;
-      std::uint32_t chunk_count = 1;
-      bool lost = false;
-      bool reconstructed = false;
+      // One dispatch path: a non-striped route() is a one-chunk stripe.
       if (policy_.striped()) {
-        const auto chunks = policy_.stripe(ctx_, req);
-        if (chunks.empty()) {
+        chunks_ = policy_.stripe(ctx_, req);
+        if (chunks_.empty()) {
           throw std::logic_error("striped policy produced no chunks");
         }
-        primary = chunks.front().disk;
-        // Admission precedes fault handling: a shed request consumes no
-        // degraded-read planning and no service. The primary chunk's disk
-        // stands in for the stripe's backlog.
-        if (control_on_ && !admit(req, primary)) continue;
-        if (ctx_.faults_on_) {
-          // A striped request needs every chunk; each failed chunk disk
-          // consults the redundancy seam. Without a scheme (or with
-          // RAID-0) any failure loses the whole request, exactly as
-          // before; parity replaces the failed chunk with costed reads on
-          // its surviving stripe units. The plan is built first and only
-          // booked (counters, events, serves) if every chunk survives.
-          plan_serves_.clear();
-          planned_degrades_.clear();
-          for (const auto& chunk : chunks) {
-            if (!ctx_.fault_.failed(chunk.disk)) {
-              plan_serves_.push_back(chunk);
-              continue;
-            }
-            scratch_reads_.clear();
-            DiskId redirect = kInvalidDisk;
-            const DegradedAction action =
-                scheme_ == nullptr
-                    ? DegradedAction::kLost
-                    : scheme_->degraded_read(ctx_, req.file, chunk.bytes,
-                                             chunk.disk, redirect,
-                                             scratch_reads_);
-            if (action == DegradedAction::kRedirect && redirect != kInvalidDisk &&
-                redirect < ctx_.disks_.size() &&
-                !ctx_.fault_.failed(redirect)) {
-              plan_serves_.push_back(StripeChunk{redirect, chunk.bytes});
-              planned_degrades_.push_back(PlannedDegrade{
-                  DegradedOutcome::kRedirected, chunk.disk, redirect, 0,
-                  chunk.bytes});
-            } else if (action == DegradedAction::kReconstruct &&
-                       !scratch_reads_.empty()) {
-              PR_ASSERT(parity_on_,
-                        "kReconstruct from a non-parity redundancy scheme");
-              planned_degrades_.push_back(PlannedDegrade{
-                  DegradedOutcome::kReconstructed, chunk.disk, chunk.disk,
-                  static_cast<std::uint32_t>(scratch_reads_.size()),
-                  chunk.bytes});
-              plan_serves_.insert(plan_serves_.end(), scratch_reads_.begin(),
-                                  scratch_reads_.end());
-            } else {
-              lost = true;
-              break;
-            }
-          }
-          if (!lost) {
-            for (const auto& pd : planned_degrades_) {
-              emit_planned_degrade(req.arrival, req.file, pd);
-            }
-            for (const auto& chunk : plan_serves_) {
-              const Seconds done =
-                  serve_on(chunk.disk, req.arrival, chunk.bytes, req.file);
-              completion = std::max(completion, done);
-            }
-            chunk_count = static_cast<std::uint32_t>(plan_serves_.size());
-          }
-        } else {
-          // All chunks start in parallel; the request completes when the
-          // slowest disk finishes its piece.
-          for (const auto& chunk : chunks) {
-            const Seconds done = serve_on(chunk.disk, req.arrival, chunk.bytes, req.file);
-            completion = std::max(completion, done);
-          }
-          chunk_count = static_cast<std::uint32_t>(chunks.size());
-        }
       } else {
-        primary = policy_.route(ctx_, req);
-        if (control_on_ && !admit(req, primary)) continue;
-        if (ctx_.faults_on_ && ctx_.fault_.failed(primary)) {
-          scratch_reads_.clear();
-          DiskId redirect = kInvalidDisk;
-          const DegradedAction action =
-              scheme_ == nullptr
-                  ? DegradedAction::kLost
-                  : scheme_->degraded_read(ctx_, req.file, req.size, primary,
-                                           redirect, scratch_reads_);
-          switch (action) {
-            case DegradedAction::kLost:
-              lost = true;
-              break;
-            case DegradedAction::kRedirect:
-              if (redirect == kInvalidDisk ||
-                  redirect >= ctx_.disks_.size() ||
-                  ctx_.fault_.failed(redirect)) {
-                lost = true;
-              } else {
-                ctx_.counters_.add(h_redirected_);
-                if (obs != nullptr) {
-                  obs->on_request_degraded(RequestDegradedEvent{
-                      req.arrival, req.file, primary, redirect,
-                      DegradedOutcome::kRedirected, 1.0});
-                }
-                primary = redirect;
-              }
-              break;
-            case DegradedAction::kReconstruct:
-              if (scratch_reads_.empty()) {
-                lost = true;
-              } else {
-                completion =
-                    reconstruct(req.arrival, req.file, primary, req.size);
-                chunk_count =
-                    static_cast<std::uint32_t>(scratch_reads_.size());
-                reconstructed = true;
-              }
-              break;
+        chunks_.assign(1, StripeChunk{policy_.route(ctx_, req), req.size});
+      }
+      DiskId primary = chunks_.front().disk;
+      // Admission precedes fault handling: a shed request consumes no
+      // degraded-read planning and no service. The primary chunk's disk
+      // stands in for the stripe's backlog.
+      if (control_on_ && !admit(req, primary)) continue;
+      const std::vector<StripeChunk>* serves = &chunks_;
+      if (ctx_.faults_on_) {
+        serves = plan_degraded(req, primary);
+        if (serves == nullptr) {
+          // No live copy: the request is recorded, not served — no
+          // response time sample, no completion event, no after_serve (the
+          // epoch popularity bump above stands: demand existed even if
+          // unmet).
+          ctx_.counters_.add(h_lost_);
+          if (obs != nullptr) {
+            obs->on_request_degraded(RequestDegradedEvent{
+                req.arrival, req.file, primary, primary,
+                DegradedOutcome::kLost, 1.0});
           }
-        }
-        if (!lost && !reconstructed) {
-          completion = serve_on(primary, req.arrival, req.size, req.file);
+          continue;
         }
       }
-      if (lost) {
-        // No live copy: the request is recorded, not served — no response
-        // time sample, no completion event, no after_serve (the epoch
-        // popularity bump above stands: demand existed even if unmet).
-        ctx_.counters_.add(h_lost_);
-        if (obs != nullptr) {
-          obs->on_request_degraded(RequestDegradedEvent{
-              req.arrival, req.file, primary, primary, DegradedOutcome::kLost,
-              1.0});
-        }
-        touched_.clear();
-        continue;
+      // All chunks start in parallel; the request completes when the
+      // slowest disk finishes its piece.
+      Seconds completion{0.0};
+      for (const auto& chunk : *serves) {
+        completion = std::max(
+            completion, serve_on(chunk.disk, req.arrival, chunk.bytes, req.file));
       }
       if (request_slowed_) {
         ctx_.counters_.add(h_slowed_);
@@ -483,13 +370,13 @@ class ArraySimulator {
         pending_.file = req.file;
         pending_.disk = primary;
         pending_.bytes = req.size;
-        pending_.stripe_chunks = chunk_count;
+        pending_.stripe_chunks = static_cast<std::uint32_t>(serves->size());
         obs->on_request_complete(pending_);
       }
 
       // after_serve may add background I/O (MAID cache fills); the idle
-      // checks are armed afterwards so they see the final generation and
-      // the disks' true ready times.
+      // checks are armed afterwards so they see the disks' true ready
+      // times.
       policy_.after_serve(ctx_, req, primary);
       for (const DiskId d : touched_) {
         ctx_.schedule_idle_check(d, ctx_.disks_[d].ready_time());
@@ -511,8 +398,8 @@ class ArraySimulator {
   }
 
  private:
-  /// A striped request's degraded chunk, planned in the first pass and
-  /// booked (counter + events) only if the whole request survives.
+  /// A degraded chunk, planned in the first pass and booked (counter +
+  /// events) only if the whole request survives.
   struct PlannedDegrade {
     DegradedOutcome outcome = DegradedOutcome::kLost;
     DiskId intended = kInvalidDisk;
@@ -587,36 +474,68 @@ class ArraySimulator {
     return completion;
   }
 
-  /// Serve a degraded single request by parity reconstruction: one costed
-  /// read of `bytes` on each surviving stripe unit (scratch_reads_), all
-  /// in parallel; the request completes when the slowest survivor
-  /// finishes. Books the counter and the StripeReconstruct +
-  /// RequestDegraded(kReconstructed) events before the serves so the
-  /// degraded events precede any spin-up transitions, as for redirects.
-  Seconds reconstruct(Seconds arrival, FileId file, DiskId failed,
-                      Bytes bytes) {
-    PR_ASSERT(parity_on_,
-              "kReconstruct from a non-parity redundancy scheme");
-    SimObserver* const obs = ctx_.observer_;
-    ctx_.counters_.add(h_reconstructed_);
-    if (obs != nullptr) {
-      obs->on_stripe_reconstruct(StripeReconstructEvent{
-          arrival, file, failed,
-          static_cast<std::uint32_t>(scratch_reads_.size()), bytes});
-      obs->on_request_degraded(RequestDegradedEvent{
-          arrival, file, failed, failed, DegradedOutcome::kReconstructed,
-          1.0});
+  /// Plan a request under an attached fault plan: each chunk on a failed
+  /// disk consults the redundancy seam. Without a scheme (or with RAID-0)
+  /// any failure loses the whole request; a copy-set scheme redirects the
+  /// chunk to a live copy; parity replaces it with costed reads on its
+  /// surviving stripe units. The plan (plan_serves_) is built first and
+  /// its degraded chunks are booked (counters, events) only if every chunk
+  /// survives. Returns the serve list — chunks_ itself when no chunk sits
+  /// on a failed disk — or nullptr when the request is lost. A redirected
+  /// first chunk makes the redirect target the request's disk (`primary`).
+  const std::vector<StripeChunk>* plan_degraded(const Request& req,
+                                                DiskId& primary) {
+    if (std::none_of(chunks_.begin(), chunks_.end(),
+                     [this](const StripeChunk& c) {
+                       return ctx_.fault_.failed(c.disk);
+                     })) {
+      return &chunks_;
     }
-    Seconds completion{0.0};
-    for (const StripeChunk& read : scratch_reads_) {
-      completion = std::max(completion,
-                            serve_on(read.disk, arrival, read.bytes, file));
+    plan_serves_.clear();
+    planned_degrades_.clear();
+    DiskId served_primary = primary;
+    for (const auto& chunk : chunks_) {
+      if (!ctx_.fault_.failed(chunk.disk)) {
+        plan_serves_.push_back(chunk);
+        continue;
+      }
+      scratch_reads_.clear();
+      DiskId redirect = kInvalidDisk;
+      const DegradedAction action =
+          scheme_ == nullptr
+              ? DegradedAction::kLost
+              : scheme_->degraded_read(ctx_, req.file, chunk.bytes, chunk.disk,
+                                       redirect, scratch_reads_);
+      if (action == DegradedAction::kRedirect && redirect != kInvalidDisk &&
+          redirect < ctx_.disks_.size() && !ctx_.fault_.failed(redirect)) {
+        if (&chunk == &chunks_.front()) served_primary = redirect;
+        plan_serves_.push_back(StripeChunk{redirect, chunk.bytes});
+        planned_degrades_.push_back(PlannedDegrade{
+            DegradedOutcome::kRedirected, chunk.disk, redirect, 0,
+            chunk.bytes});
+      } else if (action == DegradedAction::kReconstruct &&
+                 !scratch_reads_.empty()) {
+        PR_ASSERT(parity_on_,
+                  "kReconstruct from a non-parity redundancy scheme");
+        planned_degrades_.push_back(PlannedDegrade{
+            DegradedOutcome::kReconstructed, chunk.disk, chunk.disk,
+            static_cast<std::uint32_t>(scratch_reads_.size()), chunk.bytes});
+        plan_serves_.insert(plan_serves_.end(), scratch_reads_.begin(),
+                            scratch_reads_.end());
+      } else {
+        return nullptr;
+      }
     }
-    return completion;
+    for (const auto& pd : planned_degrades_) {
+      emit_planned_degrade(req.arrival, req.file, pd);
+    }
+    primary = served_primary;
+    return &plan_serves_;
   }
 
-  /// Book one surviving striped request's planned degraded chunk: the
-  /// counters and events deferred from the planning pass.
+  /// Book one surviving request's planned degraded chunk: the counters and
+  /// events deferred from the planning pass, emitted before any serve so
+  /// the degraded events precede the request's spin-up transitions.
   void emit_planned_degrade(Seconds arrival, FileId file,
                             const PlannedDegrade& pd) {
     SimObserver* const obs = ctx_.observer_;
@@ -768,12 +687,8 @@ class ArraySimulator {
   /// drain; schedule_idle_check lowers the hint incrementally in between.
   void recompute_wake_hint() {
     Seconds hint = next_epoch_;
-    if (ctx_.use_timer_) {
-      if (!ctx_.idle_timer_.empty()) {
-        hint = std::min(hint, ctx_.idle_timer_.next_time());
-      }
-    } else if (!ctx_.idle_events_.empty()) {
-      hint = std::min(hint, ctx_.idle_events_.next_time());
+    if (!ctx_.idle_timer_.empty()) {
+      hint = std::min(hint, ctx_.idle_timer_.next_time());
     }
     if (ctx_.faults_on_) {
       const auto& events = faults_->events();
@@ -833,43 +748,19 @@ class ArraySimulator {
     }
   }
 
-  /// Process deferred events with time <= t (and epoch boundaries that
-  /// precede them), in order. Two backends behind one drain interface:
-  /// the per-disk timer heap (default; every popped deadline is live) and
-  /// the event-queue fallback (pops are filtered by generation staleness).
-  /// Stale queue events have no side effects beyond churn counters —
-  /// fire_epochs_until is monotone in the popped time — so both backends
-  /// interleave epochs, spin-downs and observer emissions identically.
+  /// Process idle deadlines with time <= t (< t when not `inclusive`) and
+  /// the epoch boundaries that precede them, in order. Every popped
+  /// deadline is live: re-arming replaces a disk's slot in place.
   void drain_until(Seconds t, bool inclusive = true) {
-    const auto due = [t, inclusive](Seconds next) {
-      return inclusive ? next <= t : next < t;
-    };
-    if (ctx_.use_timer_) {
-      auto& timer = ctx_.idle_timer_;
-      while (!timer.empty() && due(timer.next_time())) {
-        const auto deadline = timer.pop();
-        PR_INVARIANT(!(deadline.time < ctx_.now_),
-                     "drain_until: idle deadline fired in the past");
-        fire_epochs_until(deadline.time);
-        ctx_.now_ = deadline.time;
-        handle_idle_check(deadline.time, deadline.disk);
-      }
-    } else {
-      while (!ctx_.idle_events_.empty() &&
-             due(ctx_.idle_events_.next_time())) {
-        const auto event = ctx_.idle_events_.pop();
-        PR_INVARIANT(!(event.time < ctx_.now_),
-                     "drain_until: idle event fired in the past");
-        fire_epochs_until(event.time);
-        ctx_.now_ = event.time;
-        ctx_.counters_.add(h_idle_checks_);
-        if (ctx_.disks_[event.payload.disk].activity_generation() !=
-            event.payload.generation) {
-          ctx_.counters_.add(h_idle_stale_);
-          continue;  // invalidated by a later service
-        }
-        handle_idle_check(event.time, event.payload.disk);
-      }
+    auto& timer = ctx_.idle_timer_;
+    while (!timer.empty() && (inclusive ? timer.next_time() <= t
+                                        : timer.next_time() < t)) {
+      const auto deadline = timer.pop();
+      PR_INVARIANT(!(deadline.time < ctx_.now_),
+                   "drain_until: idle deadline fired in the past");
+      fire_epochs_until(deadline.time);
+      ctx_.now_ = deadline.time;
+      handle_idle_check(deadline.time, deadline.disk);
     }
   }
 
@@ -877,7 +768,7 @@ class ArraySimulator {
   /// has genuinely been idle past its (current) threshold.
   void handle_idle_check(Seconds at, DiskId d) {
     Disk& disk = ctx_.disks_[d];
-    if (ctx_.use_timer_) ctx_.counters_.add(h_idle_checks_);
+    ctx_.counters_.add(h_idle_checks_);
     if (!ctx_.dpm_[d].spin_down_when_idle) return;
     if (disk.speed() != DiskSpeed::kHigh) return;
     // The threshold may have grown since this check was scheduled (READ's
@@ -891,13 +782,7 @@ class ArraySimulator {
     const Seconds deadline = idle_since + ctx_.dpm_[d].idleness_threshold;
     if (deadline > at) {
       ctx_.counters_.add(h_idle_deferred_);
-      if (ctx_.use_timer_) {
-        ctx_.idle_timer_.arm(d, deadline, ctx_.idle_seq_++);
-      } else {
-        ctx_.idle_events_.push(
-            deadline,
-            ArrayContext::IdleCheck{d, ctx_.disks_[d].activity_generation()});
-      }
+      ctx_.idle_timer_.arm(d, deadline, ctx_.idle_seq_++);
       return;
     }
     if (!policy_.allow_spin_down(ctx_, d, at)) {
@@ -1113,7 +998,9 @@ class ArraySimulator {
   bool parity_on_ = false;
   bool rebuild_on_ = false;
   RebuildScheduler rebuild_;
-  /// Per-request / per-step scratch (cleared before each use).
+  /// Per-request / per-step scratch (cleared before each use). chunks_
+  /// holds the request's stripe (one chunk for a non-striped policy).
+  std::vector<StripeChunk> chunks_;
   std::vector<StripeChunk> scratch_reads_;
   std::vector<StripeChunk> plan_serves_;
   std::vector<PlannedDegrade> planned_degrades_;
@@ -1148,7 +1035,6 @@ class ArraySimulator {
   // Interned core-counter handles (hot-path bumps are one vector add).
   CounterRegistry::Handle h_epochs_;
   CounterRegistry::Handle h_idle_checks_;
-  CounterRegistry::Handle h_idle_stale_;
   CounterRegistry::Handle h_idle_deferred_;
   CounterRegistry::Handle h_spin_downs_;
   CounterRegistry::Handle h_spin_vetoed_;
@@ -1189,17 +1075,6 @@ SimResult run_simulation(const SimConfig& config, const FileSet& files,
 }
 
 SimResult run_simulation(const SimConfig& config, const FileSet& files,
-                         RequestSource& source, Policy& policy,
-                         SimObserver* observer) {
-  return run_simulation(config, files, source, policy, observer, nullptr);
-}
-
-SimResult run_simulation(const SimConfig& config, const FileSet& files,
-                         RequestSource& source, Policy& policy) {
-  return run_simulation(config, files, source, policy, nullptr, nullptr);
-}
-
-SimResult run_simulation(const SimConfig& config, const FileSet& files,
                          const Trace& trace, Policy& policy,
                          SimObserver* observer, const FaultPlan* faults) {
   // Upfront validation preserves the historical contract that a bad trace
@@ -1215,17 +1090,6 @@ SimResult run_simulation(const SimConfig& config, const FileSet& files,
   }
   TraceSource source(trace);
   return run_simulation(config, files, source, policy, observer, faults);
-}
-
-SimResult run_simulation(const SimConfig& config, const FileSet& files,
-                         const Trace& trace, Policy& policy,
-                         SimObserver* observer) {
-  return run_simulation(config, files, trace, policy, observer, nullptr);
-}
-
-SimResult run_simulation(const SimConfig& config, const FileSet& files,
-                         const Trace& trace, Policy& policy) {
-  return run_simulation(config, files, trace, policy, nullptr, nullptr);
 }
 
 }  // namespace pr

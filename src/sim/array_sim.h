@@ -9,9 +9,11 @@
 // live, which disk serves a request, what happens at epoch boundaries, and
 // whether a proposed spin-down is allowed.
 //
-// Determinism: arrivals are replayed in trace order; deferred events
-// (idle checks) live in an EventQueue with FIFO tie-breaking; policies
-// receive callbacks at well-defined points only.
+// Determinism: arrivals are replayed in trace order; deferred idle checks
+// live in a per-disk IdleTimerHeap with FIFO tie-breaking; every request
+// goes through one plan-then-book dispatch path (a non-striped route() is
+// a one-chunk stripe); policies receive callbacks at well-defined points
+// only.
 #pragma once
 
 #include <memory>
@@ -28,7 +30,6 @@
 #include "obs/observer.h"
 #include "redundancy/redundancy_config.h"
 #include "sim/dpm.h"
-#include "sim/event_queue.h"
 #include "sim/idle_timer.h"
 #include "sim/metrics.h"
 #include "trace/request.h"
@@ -38,18 +39,6 @@
 namespace pr {
 
 constexpr DiskId kInvalidDisk = ~DiskId{0};
-
-/// Backend for DPM idle-check scheduling. Both produce byte-identical
-/// ledgers, transition streams and JSONL traces on same-seed runs (a
-/// golden test enforces this); they differ only in internal churn:
-///   kTimerHeap  — one armed deadline per disk in an indexed min-heap,
-///                 re-armed in place on every service. Heap traffic scales
-///                 with actual spin-down decisions; sim.idle_checks_stale
-///                 is structurally 0. The default.
-///   kEventQueue — the PR-1 push-per-service path (one queue entry per
-///                 touched disk per request, invalidated by a generation
-///                 check). Kept as the deterministic fallback/reference.
-enum class IdleScheduler : std::uint8_t { kTimerHeap, kEventQueue };
 
 struct SimConfig {
   TwoSpeedDiskParams disk_params;
@@ -67,8 +56,6 @@ struct SimConfig {
   /// pays the real head-travel seek from this curve instead of the
   /// average seek (background migration I/O keeps average-cost seeks).
   std::optional<SeekCurve> seek_curve;
-  /// DPM idle-check scheduling backend (see IdleScheduler).
-  IdleScheduler idle_scheduler = IdleScheduler::kTimerHeap;
   /// Array-level redundancy organization (redundancy/redundancy_config.h).
   /// kNone (default) preserves today's behavior byte-for-byte: degraded
   /// requests fall back to the policy's own copy set or are lost. A parity
@@ -170,21 +157,13 @@ class ArrayContext {
  private:
   friend class ArraySimulator;
 
-  struct IdleCheck {
-    DiskId disk = kInvalidDisk;
-    std::uint64_t generation = 0;
-  };
-
-  /// (Re-)arm the idle-check deadline for `d` at completion + H. Timer
-  /// mode re-arms the per-disk slot in place; queue mode pushes a new
-  /// event stamped with the disk's activity generation.
+  /// (Re-)arm the idle-check deadline for `d` at completion + H, in place
+  /// in the disk's timer slot.
   void schedule_idle_check(DiskId d, Seconds completion);
-  /// Drop any pending idle check for `d`. Timer mode disarms the slot;
-  /// queue mode is a no-op (the bumped activity generation already marks
-  /// the pending event stale). Called for disks receiving background I/O
-  /// (migrations, cache fills) that does not go through the per-request
-  /// re-arm.
-  void cancel_idle_check(DiskId d);
+  /// Disarm any pending idle check for `d`. Called for disks receiving
+  /// background I/O (migrations, cache fills) that does not go through
+  /// the per-request re-arm.
+  void cancel_idle_check(DiskId d) { idle_timer_.disarm(d); }
   /// Allocate a contiguous cylinder range for `f` on disk `d` and record
   /// its start cylinder (positional mode only).
   void assign_cylinders(FileId f, DiskId d);
@@ -208,15 +187,10 @@ class ArrayContext {
   std::vector<std::uint64_t> epoch_counts_;
   std::uint64_t epoch_requests_ = 0;
   Seconds now_{0.0};
-  /// Fallback scheduler (IdleScheduler::kEventQueue): push-per-service
-  /// events invalidated by generation staleness.
-  EventQueue<IdleCheck> idle_events_;
-  /// Default scheduler (IdleScheduler::kTimerHeap): one armed deadline
-  /// per disk, re-armed in place.
+  /// DPM idle checks: one armed deadline per disk, re-armed in place.
   IdleTimerHeap idle_timer_;
-  /// Arm-order counter for the timer heap's FIFO tie-breaking; advances
-  /// exactly when the queue path's push sequence would, so simultaneous
-  /// deadlines fire in the same cross-disk order in both modes.
+  /// Arm-order counter for the timer heap's FIFO tie-breaking:
+  /// simultaneous deadlines fire in the order they were armed.
   std::uint64_t idle_seq_ = 0;
   /// Batched-dispatch fast path: a lower bound on the time of the
   /// earliest pending deferred event (idle deadline, epoch boundary,
@@ -226,7 +200,6 @@ class ArrayContext {
   /// after every slow-path drain (cancellations only raise the true
   /// minimum, so a stale-low hint is conservative, never wrong).
   Seconds wake_hint_{0.0};
-  bool use_timer_ = true;
   std::uint64_t migrations_ = 0;
   Bytes migration_bytes_ = 0;
   CounterRegistry counters_;
@@ -271,9 +244,10 @@ class Policy {
   virtual DiskId route(ArrayContext& ctx, const Request& req) = 0;
 
   /// Striping support (paper §6 future work / RAID-0 extension): when
-  /// this returns true the simulator calls stripe() instead of route(),
-  /// serves every chunk in parallel on its disk, and completes the
-  /// request when the slowest chunk finishes.
+  /// this returns true the simulator calls stripe() instead of route().
+  /// Either way the request is one stripe (route() gives one chunk):
+  /// every chunk is served in parallel on its disk, and the request
+  /// completes when the slowest chunk finishes.
   [[nodiscard]] virtual bool striped() const { return false; }
 
   /// Decompose `req` into per-disk chunks (non-empty, bytes summing to
@@ -284,7 +258,8 @@ class Policy {
   }
 
   /// Called after `req` was served by `d` (completion already ledgered) —
-  /// cache management, copy triggering, etc.
+  /// cache management, copy triggering, etc. `d` is the primary chunk's
+  /// disk, or the live copy a degraded read redirected it to.
   virtual void after_serve(ArrayContext& ctx, const Request& req, DiskId d) {
     (void)ctx;
     (void)req;
@@ -358,31 +333,17 @@ class Policy {
 [[nodiscard]] SimResult run_simulation(const SimConfig& config,
                                        const FileSet& files,
                                        RequestSource& source, Policy& policy,
-                                       SimObserver* observer,
-                                       const FaultPlan* faults);
-[[nodiscard]] SimResult run_simulation(const SimConfig& config,
-                                       const FileSet& files,
-                                       RequestSource& source, Policy& policy,
-                                       SimObserver* observer);
-[[nodiscard]] SimResult run_simulation(const SimConfig& config,
-                                       const FileSet& files,
-                                       RequestSource& source, Policy& policy);
+                                       SimObserver* observer = nullptr,
+                                       const FaultPlan* faults = nullptr);
 
-/// Materialized-trace adapters: validate `trace` up front (so contract
+/// Materialized-trace adapter: validate `trace` up front (so contract
 /// errors surface before the policy initializes, exactly as before the
 /// streaming redesign) and replay it through a TraceSource. Byte-identical
 /// to the historical vector path — the goldens pin this.
 [[nodiscard]] SimResult run_simulation(const SimConfig& config,
                                        const FileSet& files,
                                        const Trace& trace, Policy& policy,
-                                       SimObserver* observer,
-                                       const FaultPlan* faults);
-[[nodiscard]] SimResult run_simulation(const SimConfig& config,
-                                       const FileSet& files,
-                                       const Trace& trace, Policy& policy,
-                                       SimObserver* observer);
-[[nodiscard]] SimResult run_simulation(const SimConfig& config,
-                                       const FileSet& files,
-                                       const Trace& trace, Policy& policy);
+                                       SimObserver* observer = nullptr,
+                                       const FaultPlan* faults = nullptr);
 
 }  // namespace pr

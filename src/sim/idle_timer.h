@@ -1,20 +1,15 @@
 // idle_timer.h — per-disk armed-deadline timers for DPM idle checks.
 //
-// The PR-1 scheduler pushed one EventQueue entry per touched disk per
-// request and let the next access invalidate it via a generation check;
-// sim.idle_checks_stale showed most of that heap traffic was dead on
-// arrival. This structure holds exactly ONE live deadline per disk in an
-// indexed binary min-heap keyed by DiskId: serving a disk re-arms its
-// deadline *in place* (a sift within the heap, no allocation), and
-// background I/O that previously relied on generation staleness disarms
-// it explicitly. Heap traffic therefore scales with actual spin-down
-// decisions, not with requests.
+// The simulator's one idle scheduler. It holds exactly ONE live deadline
+// per disk in an indexed binary min-heap keyed by DiskId: serving a disk
+// re-arms its deadline *in place* (a sift within the heap, no allocation),
+// and background I/O disarms it explicitly. Heap traffic therefore scales
+// with actual spin-down decisions, not with requests, and every popped
+// deadline is live.
 //
 // Determinism: entries order by (deadline, seq). The caller passes a
-// monotonically increasing sequence number on every arm — the same
-// counter discipline as EventQueue's per-push sequence — so simultaneous
-// deadlines fire in exactly the order the fallback event-queue path would
-// fire its surviving (non-stale) events.
+// monotonically increasing sequence number on every arm, so simultaneous
+// deadlines fire FIFO in arm order.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +51,7 @@ class IdleTimerHeap {
 
   /// Arm (or re-arm in place) the timer for `disk`. `seq` must come from a
   /// monotonically increasing counter; it breaks ties among equal
-  /// deadlines FIFO, matching EventQueue's push-order semantics.
+  /// deadlines FIFO (earliest arm first).
   void arm(std::uint32_t disk, Seconds deadline, std::uint64_t seq) {
     PR_PRECONDITION(disk < pos_.size(),
                     "IdleTimerHeap::arm: disk id out of range");

@@ -106,4 +106,11 @@ class ReservoirSample {
 [[nodiscard]] double spearman_correlation(const std::vector<double>& x,
                                           const std::vector<double>& y);
 
+/// Relative improvement of `ours` over `baseline` for a lower-is-better
+/// metric: (baseline − ours) / baseline. Positive = we are better.
+/// Degenerate inputs — a zero baseline or any non-finite operand — return
+/// 0.0 ("no improvement") instead of NaN/±inf, so sweep-level averages of
+/// this quantity stay meaningful.
+[[nodiscard]] double improvement(double ours, double baseline);
+
 }  // namespace pr

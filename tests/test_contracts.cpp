@@ -13,7 +13,6 @@
 #include "obs/counter_registry.h"
 #include "redundancy/rebuild.h"
 #include "redundancy/scheme.h"
-#include "sim/event_queue.h"
 #include "sim/idle_timer.h"
 #include "util/contracts.h"
 #include "util/fmt.h"
@@ -27,7 +26,6 @@ using pr::DeclusteredScheme;
 using pr::Disk;
 using pr::DiskId;
 using pr::DiskSpeed;
-using pr::EventQueue;
 using pr::IdleTimerHeap;
 using pr::Raid5Scheme;
 using pr::RebuildScheduler;
@@ -38,20 +36,6 @@ using pr::Seconds;
 TEST(ContractsDeath, FormatDoubleRejectsNonPositivePrecision) {
   EXPECT_DEATH(pr::format_double(1.0, 0),
                "precondition failed.*precision must be positive");
-}
-
-TEST(ContractsDeath, EventQueuePushBeforeLastPop) {
-  EventQueue<int> q;
-  q.push(Seconds{10.0}, 1);
-  (void)q.pop();
-  EXPECT_DEATH(q.push(Seconds{5.0}, 2),
-               "precondition failed.*scheduling before an already-popped");
-}
-
-TEST(ContractsDeath, EventQueueEmptyAccess) {
-  EventQueue<int> q;
-  EXPECT_DEATH((void)q.next_time(), "EventQueue::next_time: queue is empty");
-  EXPECT_DEATH((void)q.pop(), "EventQueue::pop: queue is empty");
 }
 
 TEST(ContractsDeath, IdleTimerHeapDiskOutOfRange) {
@@ -125,8 +109,8 @@ TEST(ContractsDeath, DiskRejectsNegativeTime) {
 TEST(ContractsDeath, DiagnosticCarriesFileLineAndKind) {
   // The message format is file:line: <kind> failed: <expr> — <msg>; the
   // death-test regex pins the pieces CI readers grep for.
-  EventQueue<int> q;
-  EXPECT_DEATH((void)q.pop(), "event_queue\\.h:[0-9]+: precondition failed");
+  IdleTimerHeap heap;
+  EXPECT_DEATH((void)heap.pop(), "idle_timer\\.h:[0-9]+: precondition failed");
 }
 
 #else  // !PR_CONTRACTS_ENABLED
@@ -142,11 +126,10 @@ TEST(ContractsDisabled, ConditionIsNotEvaluated) {
 }
 
 TEST(ContractsDisabled, ViolationsAreSilentNoOps) {
-  EventQueue<int> q;
-  q.push(Seconds{10.0}, 1);
-  (void)q.pop();
-  q.push(Seconds{5.0}, 2);  // would abort under contracts; legal here
-  EXPECT_EQ(q.size(), 1u);
+  // A group that does not divide the array would abort under contracts;
+  // here construction proceeds unchecked.
+  const Raid5Scheme scheme(6, 4);
+  EXPECT_EQ(scheme.group(), 4u);
 }
 
 #endif  // PR_CONTRACTS_ENABLED

@@ -2,14 +2,13 @@
 // deterministic controllers and their anti-oscillation machinery, the
 // online Zipf estimator, the simulator's actuation seam (admission
 // shedding, threshold/hot-zone/epoch-length knobs), the control-disabled
-// byte-identity contract, scheduler/thread determinism with control on,
+// byte-identity contract, rerun/thread determinism with control on,
 // the [control] scenario section, and the OnlineReadPolicy promotion-bar
 // regression (ceiling-decayed bar across a decay boundary).
 #include "control/control_loop.h"
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -318,36 +317,19 @@ TEST(ControlSimTest, CountersInternOnlyWhenEnabled) {
 
 // ------------------------------------------------ determinism contract
 
-TEST(ControlSimTest, DeterministicAcrossIdleSchedulers) {
+TEST(ControlSimTest, DeterministicAcrossRepeatedRuns) {
+  // Every control decision, event and counter of a same-seed rerun must be
+  // identical.
   const auto workload = generate_workload(small_workload_config());
-  std::string timer_events;
-  std::string timer_json;
-  std::map<std::string, std::uint64_t> timer_counters;
-  for (const IdleScheduler scheduler :
-       {IdleScheduler::kTimerHeap, IdleScheduler::kEventQueue}) {
-    SystemConfig config = control_system_config();
-    config.sim.idle_scheduler = scheduler;
-    config.sim.control = armed_config();
-    config.sim.control.target_rt_ms = 20.0;
-    config.sim.control.admit_window_s = 2.0;
-    const SessionRun run = run_session(config, "online-read", workload);
-
-    // Across schedulers only the sim.idle_checks* churn family may
-    // differ (the same allowance test_scheduler_golden pins); every
-    // control decision, event and counter must be identical.
-    std::map<std::string, std::uint64_t> comparable;
-    for (const auto& [name, value] : run.report.sim.counters) {
-      if (name.rfind("sim.idle_checks", 0) == 0) continue;
-      comparable.emplace(name, value);
-    }
-    if (scheduler == IdleScheduler::kTimerHeap) {
-      timer_events = run.events;
-      timer_counters = comparable;
-    } else {
-      EXPECT_EQ(run.events, timer_events);
-      EXPECT_EQ(comparable, timer_counters);
-    }
-  }
+  SystemConfig config = control_system_config();
+  config.sim.control = armed_config();
+  config.sim.control.target_rt_ms = 20.0;
+  config.sim.control.admit_window_s = 2.0;
+  const SessionRun first = run_session(config, "online-read", workload);
+  const SessionRun second = run_session(config, "online-read", workload);
+  EXPECT_FALSE(first.events.empty());
+  EXPECT_EQ(second.events, first.events);
+  EXPECT_EQ(second.report.sim.counters, first.report.sim.counters);
 }
 
 // --------------------------------------------------- admission window

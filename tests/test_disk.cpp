@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "disk/geometry.h"
 #include "disk/service_model.h"
 #include "disk/telemetry.h"
 
@@ -204,15 +205,16 @@ TEST(Disk, InternalIoCountedSeparately) {
   EXPECT_GT(d.ledger().busy_time.value(), 0.016);
 }
 
-TEST(Disk, ActivityGenerationTracksServes) {
-  Disk d(0, params(), DiskSpeed::kHigh);
-  EXPECT_EQ(d.activity_generation(), 0u);
-  d.serve(Seconds{0.0}, 100);
-  EXPECT_EQ(d.activity_generation(), 1u);
-  d.transition(Seconds{10.0}, DiskSpeed::kLow);  // transitions don't count
-  EXPECT_EQ(d.activity_generation(), 1u);
-  d.serve(Seconds{20.0}, 100);
-  EXPECT_EQ(d.activity_generation(), 2u);
+TEST(Disk, SetupGuardsRejectAfterFirstServe) {
+  // Seek curve and initial speed are setup-time knobs: once any serve has
+  // booked a request or an internal op, both refuse.
+  Disk user(0, params(), DiskSpeed::kHigh);
+  user.serve(Seconds{0.0}, 100);
+  EXPECT_THROW(user.set_initial_speed(DiskSpeed::kLow), std::logic_error);
+  Disk internal(1, params(), DiskSpeed::kHigh);
+  internal.serve(Seconds{0.0}, 100, /*internal=*/true);
+  EXPECT_THROW(internal.set_seek_curve(cheetah_seek_curve()),
+               std::logic_error);
 }
 
 TEST(Disk, TransitionsTodayRollsOverAtDayBoundary) {

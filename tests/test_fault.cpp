@@ -2,8 +2,8 @@
 // determinism, FaultState idempotence, the simulator seam (fail-stop
 // loses requests, policies redirect, slowdowns inflate service), the
 // DegradationAnalyzer metrics, and the determinism contracts — an empty
-// plan is byte-identical to no plan, and faulted runs are byte-identical
-// across scheduler backends.
+// plan is byte-identical to no plan, and same-seed faulted runs are
+// byte-identical.
 #include "fault/fault_plan.h"
 
 #include <gtest/gtest.h>
@@ -331,7 +331,7 @@ TEST(FaultSim, EmptyPlanIsByteIdenticalToNoPlan) {
   EXPECT_DOUBLE_EQ(without.energy_joules(), with.energy_joules());
 }
 
-TEST(FaultSim, FaultedRunsByteIdenticalAcrossSchedulers) {
+TEST(FaultSim, FaultedRunsAreDeterministic) {
   auto wc = worldcup98_light_config(5);
   wc.file_count = 100;
   wc.request_count = 2'500;
@@ -345,11 +345,10 @@ TEST(FaultSim, FaultedRunsByteIdenticalAcrossSchedulers) {
   const FaultPlan plan = FaultPlan::from_hazard(hazard, 3);
   ASSERT_FALSE(plan.empty());
 
-  const auto run_once = [&](IdleScheduler scheduler) {
+  const auto run_once = [&] {
     SystemConfig cfg;
     cfg.sim.disk_count = 3;
     cfg.sim.epoch = Seconds{600.0};
-    cfg.sim.idle_scheduler = scheduler;
     std::ostringstream out;
     JsonlTraceWriter writer(out);
     (void)SimulationSession(cfg)
@@ -361,11 +360,10 @@ TEST(FaultSim, FaultedRunsByteIdenticalAcrossSchedulers) {
     return out.str();
   };
 
-  const std::string heap = run_once(IdleScheduler::kTimerHeap);
-  const std::string queue = run_once(IdleScheduler::kEventQueue);
-  EXPECT_FALSE(heap.empty());
-  EXPECT_NE(heap.find("\"ev\":\"disk_fail\""), std::string::npos);
-  EXPECT_EQ(heap, queue);
+  const std::string first = run_once();
+  EXPECT_FALSE(first.empty());
+  EXPECT_NE(first.find("\"ev\":\"disk_fail\""), std::string::npos);
+  EXPECT_EQ(run_once(), first);
 }
 
 // ------------------------------------------------------- DegradationAnalyzer

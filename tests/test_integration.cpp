@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "core/experiment.h"
 #include "core/session.h"
 #include "policy/drpm_policy.h"
 #include "policy/hibernator_policy.h"
@@ -227,76 +226,6 @@ TEST_F(PipelineFixture, ThermalLagAttributionStaysInBands) {
   for (const auto& t : report.sim.telemetry) {
     EXPECT_GE(t.temperature.value(), 40.0 - 1e-9);
     EXPECT_LE(t.temperature.value(), 50.0 + 1e-9);
-  }
-}
-
-// ------------------------------------------------------------- run_sweep
-
-TEST(Experiment, SweepGridShapeAndOrder) {
-  auto wc = test_workload_config();
-  wc.request_count = 5'000;
-  const auto w = generate_workload(wc);
-  SweepConfig sweep;
-  sweep.base = system_config(6);
-  sweep.disk_counts = {4, 6};
-  sweep.threads = 2;
-
-  std::vector<std::pair<std::string, PolicyFactory>> policies = {
-      {"READ", [] { return std::make_unique<ReadPolicy>(); }},
-      {"Static", [] { return std::make_unique<StaticPolicy>(); }},
-  };
-  std::vector<NamedWorkload> workloads = {{"light", &w.files, &w.trace}};
-
-  const auto cells = run_sweep(sweep, policies, workloads);
-  ASSERT_EQ(cells.size(), 4u);
-  EXPECT_EQ(cells[0].policy, "READ");
-  EXPECT_EQ(cells[0].disk_count, 4u);
-  EXPECT_EQ(cells[1].disk_count, 6u);
-  EXPECT_EQ(cells[2].policy, "Static");
-  for (const auto& c : cells) {
-    EXPECT_EQ(c.report.sim.user_requests, 5'000u);
-  }
-}
-
-TEST(Experiment, SweepValidatesInputs) {
-  SweepConfig sweep;
-  sweep.base = system_config(4);
-  sweep.disk_counts = {4};
-  std::vector<std::pair<std::string, PolicyFactory>> policies = {
-      {"Static", [] { return std::make_unique<StaticPolicy>(); }}};
-  EXPECT_THROW(run_sweep(sweep, policies, {}), std::invalid_argument);
-  std::vector<NamedWorkload> missing = {{"light", nullptr, nullptr}};
-  EXPECT_THROW(run_sweep(sweep, policies, missing), std::invalid_argument);
-}
-
-TEST(Experiment, ImprovementHelper) {
-  EXPECT_DOUBLE_EQ(improvement(50.0, 100.0), 0.5);
-  EXPECT_DOUBLE_EQ(improvement(100.0, 50.0), -1.0);
-  EXPECT_DOUBLE_EQ(improvement(1.0, 0.0), 0.0);
-}
-
-TEST(Experiment, ParallelSweepMatchesSerial) {
-  auto wc = test_workload_config();
-  wc.request_count = 4'000;
-  const auto w = generate_workload(wc);
-  SweepConfig parallel;
-  parallel.base = system_config(4);
-  parallel.disk_counts = {4, 6, 8};
-  parallel.threads = 3;
-  SweepConfig serial = parallel;
-  serial.threads = 1;
-
-  std::vector<std::pair<std::string, PolicyFactory>> policies = {
-      {"READ", [] { return std::make_unique<ReadPolicy>(); }}};
-  std::vector<NamedWorkload> workloads = {{"light", &w.files, &w.trace}};
-
-  const auto a = run_sweep(parallel, policies, workloads);
-  const auto b = run_sweep(serial, policies, workloads);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].report.sim.energy_joules(),
-                     b[i].report.sim.energy_joules());
-    EXPECT_DOUBLE_EQ(a[i].report.array_afr, b[i].report.array_afr);
   }
 }
 

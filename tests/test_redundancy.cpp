@@ -4,9 +4,9 @@
 // rebuild engine wakes disks and recovers them through the fault
 // machinery), the MTTDL loop closure, the [redundancy] scenario section,
 // and the determinism contracts — fault-free runs with a parity config
-// are byte-identical to redundancy=none, faulted parity runs are
-// byte-identical across idle schedulers, and fleet cells are
-// byte-identical for threads = 1 vs N.
+// are byte-identical to redundancy=none, same-seed faulted parity runs
+// are byte-identical, and fleet cells are byte-identical for threads = 1
+// vs N.
 #include "redundancy/scheme.h"
 
 #include <gtest/gtest.h>
@@ -456,7 +456,7 @@ TEST(RedundancySim, FaultFreeParityConfigIsByteIdenticalToNone) {
   EXPECT_DOUBLE_EQ(none.energy_joules(), raid.energy_joules());
 }
 
-TEST(RedundancySim, FaultedParityRunsByteIdenticalAcrossSchedulers) {
+TEST(RedundancySim, FaultedParityRunsAreDeterministic) {
   auto wc = worldcup98_light_config(5);
   wc.file_count = 100;
   wc.request_count = 2'500;
@@ -470,12 +470,10 @@ TEST(RedundancySim, FaultedParityRunsByteIdenticalAcrossSchedulers) {
   const FaultPlan plan = FaultPlan::from_hazard(hazard, 4);
   ASSERT_FALSE(plan.empty());
 
-  const auto run_once = [&](IdleScheduler scheduler,
-                            RedundancyKind kind) {
+  const auto run_once = [&](RedundancyKind kind) {
     SystemConfig cfg;
     cfg.sim.disk_count = 4;
     cfg.sim.epoch = Seconds{600.0};
-    cfg.sim.idle_scheduler = scheduler;
     cfg.sim.redundancy.kind = kind;
     cfg.sim.redundancy.rebuild_mbps = 4.0;
     std::ostringstream out;
@@ -491,12 +489,11 @@ TEST(RedundancySim, FaultedParityRunsByteIdenticalAcrossSchedulers) {
 
   for (const RedundancyKind kind :
        {RedundancyKind::kRaid5, RedundancyKind::kDeclustered}) {
-    const std::string heap = run_once(IdleScheduler::kTimerHeap, kind);
-    const std::string queue = run_once(IdleScheduler::kEventQueue, kind);
-    EXPECT_FALSE(heap.empty());
-    EXPECT_NE(heap.find("\"ev\":\"stripe_reconstruct\""), std::string::npos);
-    EXPECT_NE(heap.find("\"ev\":\"rebuild_start\""), std::string::npos);
-    EXPECT_EQ(heap, queue);
+    const std::string first = run_once(kind);
+    EXPECT_FALSE(first.empty());
+    EXPECT_NE(first.find("\"ev\":\"stripe_reconstruct\""), std::string::npos);
+    EXPECT_NE(first.find("\"ev\":\"rebuild_start\""), std::string::npos);
+    EXPECT_EQ(run_once(kind), first);
   }
 }
 

@@ -1,8 +1,7 @@
 // Scenario subsystem (src/exp): INI-lite parsing with line-numbered
 // errors, engine cell expansion/ordering, and the determinism contract —
 // threads = 1 and threads = N produce identical ordered cells and
-// byte-identical serialized reports, for both the legacy run_sweep and
-// the new scenario engine.
+// byte-identical serialized reports.
 #include "exp/scenario.h"
 
 #include <gtest/gtest.h>
@@ -11,8 +10,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/experiment.h"
-#include "core/registry.h"
 #include "core/report_io.h"
 #include "exp/scenario_engine.h"
 #include "exp/scenario_report.h"
@@ -397,38 +394,6 @@ TEST(ScenarioReport, CsvSchema) {
   std::size_t lines = 0;
   for (const char ch : text) lines += ch == '\n';
   EXPECT_EQ(lines, 1u + result.cells.size());
-}
-
-// ------------------------------------------------ determinism: run_sweep
-
-TEST(SweepDeterminism, ThreadCountNeverChangesRunSweep) {
-  auto wc = worldcup98_light_config(11);
-  wc.file_count = 60;
-  wc.request_count = 1500;
-  const auto workload = generate_workload(wc);
-  const std::vector<NamedWorkload> workloads = {
-      {"light", &workload.files, &workload.trace}};
-  const std::vector<std::pair<std::string, PolicyFactory>> policy_list = {
-      {"READ", policies::make("read")}, {"Static", policies::make("static")}};
-
-  SweepConfig config;
-  config.base.sim.epoch = Seconds{600.0};
-  config.disk_counts = {2, 4};
-
-  config.threads = 1;
-  const auto one = run_sweep(config, policy_list, workloads);
-  config.threads = 4;
-  const auto four = run_sweep(config, policy_list, workloads);
-
-  ASSERT_EQ(one.size(), four.size());
-  ASSERT_EQ(one.size(), 4u);  // 2 policies x 1 workload x 2 disk counts
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(one[i].policy, four[i].policy) << "cell " << i;
-    EXPECT_EQ(one[i].workload, four[i].workload) << "cell " << i;
-    EXPECT_EQ(one[i].disk_count, four[i].disk_count) << "cell " << i;
-    EXPECT_EQ(pr::to_json(one[i].report), pr::to_json(four[i].report))
-        << "cell " << i;
-  }
 }
 
 }  // namespace

@@ -1,14 +1,15 @@
 // Golden equivalence for the scenario engine: the declarative path
 // (INI text -> ScenarioSpec -> run_scenario) must reproduce, byte for
-// byte, what the legacy imperative path (generate_workload + run_sweep /
-// a session with a hand-built policy) produced. This is the migration
-// safety net for the benches that moved onto the scenario library.
+// byte, what the imperative path (generate_workload + a per-cell session
+// loop / a session with a hand-built policy) produced. This is the
+// migration safety net for the benches that moved onto the scenario
+// library.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/experiment.h"
 #include "core/registry.h"
 #include "core/session.h"
 #include "core/report_io.h"
@@ -32,25 +33,33 @@ ScenarioWorkload mini_light() {
   return w;
 }
 
-// The engine cell grid must match run_sweep cell-for-cell when the spec
-// describes the same (policy x workload x disks) grid.
-TEST(ScenarioGolden, EngineMatchesRunSweep) {
-  // Legacy path, exactly as the benches did it before the migration.
+// The engine cell grid must match, cell for cell, a serial loop of
+// per-cell sessions over the same (policy x workload x disks) grid.
+TEST(ScenarioGolden, EngineMatchesSessionLoop) {
   auto wc = worldcup98_light_config(42);
   wc.file_count = kFiles;
   wc.request_count = kRequests;
   const auto workload = generate_workload(wc);
-  const std::vector<NamedWorkload> workloads = {
-      {"light", &workload.files, &workload.trace}};
-  const std::vector<std::pair<std::string, PolicyFactory>> policy_list = {
-      {"READ", policies::make("read")}, {"MAID", policies::make("maid")}};
-  SweepConfig sweep;
-  sweep.base.sim.epoch = Seconds{600.0};
-  sweep.disk_counts = {2, 4};
-  sweep.threads = 2;
-  const auto legacy = run_sweep(sweep, policy_list, workloads);
+  struct LoopCell {
+    std::string policy;
+    std::size_t disks;
+    std::string json;
+  };
+  std::vector<LoopCell> loop;
+  for (const auto& [label, name] :
+       {std::pair{"READ", "read"}, std::pair{"MAID", "maid"}}) {
+    for (const std::size_t disks : {2u, 4u}) {
+      SystemConfig config;
+      config.sim.disk_count = disks;
+      config.sim.epoch = Seconds{600.0};
+      loop.push_back({label, disks,
+                      pr::to_json(SimulationSession(config)
+                                      .with_workload(workload)
+                                      .with_policy(name)
+                                      .run())});
+    }
+  }
 
-  // Declarative path over the same grid.
   ScenarioSpec spec;
   spec.name = "golden";
   spec.threads = 2;
@@ -60,15 +69,14 @@ TEST(ScenarioGolden, EngineMatchesRunSweep) {
   spec.workloads = {mini_light()};
   spec.policies.push_back({"read", "READ", {}});
   spec.policies.push_back({"maid", "MAID", {}});
-  const ScenarioResult modern = run_scenario(spec);
+  const ScenarioResult engine = run_scenario(spec);
 
-  ASSERT_EQ(legacy.size(), modern.cells.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].policy, modern.cells[i].policy) << "cell " << i;
-    EXPECT_EQ(legacy[i].workload, modern.cells[i].workload) << "cell " << i;
-    EXPECT_EQ(legacy[i].disk_count, modern.cells[i].disks) << "cell " << i;
-    EXPECT_EQ(pr::to_json(legacy[i].report),
-              pr::to_json(modern.cells[i].report))
+  ASSERT_EQ(loop.size(), engine.cells.size());
+  for (std::size_t i = 0; i < loop.size(); ++i) {
+    EXPECT_EQ(loop[i].policy, engine.cells[i].policy) << "cell " << i;
+    EXPECT_EQ("light", engine.cells[i].workload) << "cell " << i;
+    EXPECT_EQ(loop[i].disks, engine.cells[i].disks) << "cell " << i;
+    EXPECT_EQ(loop[i].json, pr::to_json(engine.cells[i].report))
         << "cell " << i;
   }
 }

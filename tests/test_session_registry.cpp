@@ -9,11 +9,11 @@
 #include <memory>
 #include <stdexcept>
 
-#include "core/experiment.h"
 #include "core/session.h"
 #include "core/system.h"
 #include "obs/observer.h"
 #include "policy/read_policy.h"
+#include "util/stats.h"
 #include "workload/synthetic.h"
 
 namespace pr {

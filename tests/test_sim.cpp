@@ -9,91 +9,11 @@
 #include <vector>
 
 #include "policy/static_policy.h"
-#include "sim/event_queue.h"
 #include "sim/idle_timer.h"
 #include "util/rng.h"
 
 namespace pr {
 namespace {
-
-TEST(EventQueue, OrdersByTime) {
-  EventQueue<int> q;
-  q.push(Seconds{3.0}, 3);
-  q.push(Seconds{1.0}, 1);
-  q.push(Seconds{2.0}, 2);
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop().payload, 1);
-  EXPECT_EQ(q.pop().payload, 2);
-  EXPECT_EQ(q.pop().payload, 3);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, FifoAmongTies) {
-  EventQueue<int> q;
-  for (int i = 0; i < 10; ++i) q.push(Seconds{5.0}, i);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(q.pop().payload, i);
-  }
-}
-
-TEST(EventQueue, NextTimePeeks) {
-  EventQueue<int> q;
-  q.push(Seconds{7.0}, 0);
-  q.push(Seconds{4.0}, 1);
-  EXPECT_DOUBLE_EQ(q.next_time().value(), 4.0);
-  EXPECT_EQ(q.size(), 2u);
-}
-
-/// Payload that counts copies vs. moves, so the test can assert pop()
-/// moves the payload out instead of copying it.
-struct MoveProbe {
-  int tag = 0;
-  int copies = 0;
-  int moves = 0;
-  MoveProbe() = default;
-  explicit MoveProbe(int t) : tag(t) {}
-  MoveProbe(const MoveProbe& o)
-      : tag(o.tag), copies(o.copies + 1), moves(o.moves) {}
-  MoveProbe(MoveProbe&& o) noexcept
-      : tag(o.tag), copies(o.copies), moves(o.moves + 1) {}
-  MoveProbe& operator=(const MoveProbe& o) {
-    tag = o.tag;
-    copies = o.copies + 1;
-    moves = o.moves;
-    return *this;
-  }
-  MoveProbe& operator=(MoveProbe&& o) noexcept {
-    tag = o.tag;
-    copies = o.copies;
-    moves = o.moves + 1;
-    return *this;
-  }
-};
-
-TEST(EventQueue, PopMovesPayloadAndKeepsFifoTies) {
-  EventQueue<MoveProbe> q;
-  // Ties at t=2 interleaved with an earlier event: FIFO order among the
-  // ties must survive the move-out pop.
-  q.push(Seconds{2.0}, MoveProbe{10});
-  q.push(Seconds{2.0}, MoveProbe{11});
-  q.push(Seconds{1.0}, MoveProbe{0});
-  q.push(Seconds{2.0}, MoveProbe{12});
-
-  auto first = q.pop();
-  EXPECT_EQ(first.payload.tag, 0);
-  // Payloads reach the caller without a single copy: one move into the
-  // heap's storage on push, moves during heap sifting, and one move out
-  // on pop — never a copy.
-  EXPECT_EQ(first.payload.copies, 0);
-  EXPECT_GE(first.payload.moves, 1);
-
-  EXPECT_EQ(q.pop().payload.tag, 10);
-  EXPECT_EQ(q.pop().payload.tag, 11);
-  auto last = q.pop();
-  EXPECT_EQ(last.payload.tag, 12);
-  EXPECT_EQ(last.payload.copies, 0);
-  EXPECT_TRUE(q.empty());
-}
 
 // --------------------------------------------------------------- IdleTimerHeap
 
@@ -113,8 +33,7 @@ TEST(IdleTimerHeap, PopsInDeadlineOrder) {
 }
 
 TEST(IdleTimerHeap, ArmSequenceBreaksTies) {
-  // Equal deadlines pop in arm order — the same FIFO discipline the
-  // EventQueue's (time, seq) key provides.
+  // Equal deadlines pop in arm order: the (time, seq) key is FIFO.
   IdleTimerHeap h;
   h.resize(4);
   h.arm(3, Seconds{5.0}, 0);
@@ -161,10 +80,10 @@ TEST(IdleTimerHeap, DisarmRemovesAndIsIdempotent) {
   EXPECT_EQ(h.pop().disk, 2u);
 }
 
-TEST(IdleTimerHeap, StressMatchesEventQueueOrder) {
+TEST(IdleTimerHeap, StressMatchesLinearScanOracle) {
   // Randomized arm/re-arm/disarm sequence: the surviving deadlines must
-  // drain in the same order as an EventQueue holding only the latest
-  // event per disk (the equivalence the timer scheduler relies on).
+  // drain in (deadline, seq) order, checked against a brute-force linear
+  // scan over the latest arm per disk.
   constexpr std::size_t kDisks = 16;
   IdleTimerHeap h;
   h.resize(kDisks);
@@ -185,25 +104,19 @@ TEST(IdleTimerHeap, StressMatchesEventQueueOrder) {
       ++seq;
     }
   }
-  EventQueue<std::uint32_t> reference;
-  // Push surviving arms in seq order so the queue's internal sequence
-  // numbers replicate the arm sequence's tie-breaking.
-  std::vector<std::size_t> by_seq;
-  for (std::size_t d = 0; d < kDisks; ++d) {
-    if (latest[d].second != 0) by_seq.push_back(d);
-  }
-  std::sort(by_seq.begin(), by_seq.end(), [&](std::size_t a, std::size_t b) {
-    return latest[a].second < latest[b].second;
-  });
-  for (std::size_t d : by_seq) {
-    reference.push(Seconds{latest[d].first}, static_cast<std::uint32_t>(d));
-  }
-  EXPECT_EQ(h.size(), reference.size());
-  while (!reference.empty()) {
-    const auto want = reference.pop();
+  const auto armed = static_cast<std::size_t>(std::count_if(
+      latest.begin(), latest.end(), [](const auto& e) { return e.second != 0; }));
+  EXPECT_EQ(h.size(), armed);
+  for (std::size_t left = armed; left > 0; --left) {
+    std::size_t want = kDisks;
+    for (std::size_t d = 0; d < kDisks; ++d) {
+      if (latest[d].second == 0) continue;
+      if (want == kDisks || latest[d] < latest[want]) want = d;
+    }
     const auto got = h.pop();
-    EXPECT_EQ(got.disk, want.payload);
-    EXPECT_DOUBLE_EQ(got.time.value(), want.time.value());
+    EXPECT_EQ(got.disk, want);
+    EXPECT_DOUBLE_EQ(got.time.value(), latest[want].first);
+    latest[want] = {0.0, 0};
   }
   EXPECT_TRUE(h.empty());
 }

@@ -1,11 +1,10 @@
 // Streaming-ingestion tests: RequestSource semantics, the bounded-memory
 // line readers (CSV/JSONL), the trace::open registry, and — the load-bearing
 // part — byte-identity between the materialized-vector simulation path and
-// the streaming path for READ/MAID/PDC under both idle-check schedulers.
+// the streaming path for READ/MAID/PDC.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <streambuf>
@@ -606,18 +605,17 @@ SessionRun run_with_source(const SystemConfig& config,
   return out;
 }
 
-SystemConfig identity_config(IdleScheduler scheduler) {
+SystemConfig identity_config() {
   SystemConfig config;
   config.sim.disk_count = 8;
   config.sim.epoch = Seconds{600.0};
-  config.sim.idle_scheduler = scheduler;
   return config;
 }
 
-/// READ/MAID/PDC under both schedulers: the vector path, the TraceSource
-/// adapter, the JSONL stream (bit-exact arrivals) and the CSV stream
-/// (precision-9 arrivals, compared against a trace materialized from the
-/// same bytes) must agree on the full report and event stream.
+/// READ/MAID/PDC: the vector path, the TraceSource adapter, the JSONL
+/// stream (bit-exact arrivals) and the CSV stream (precision-9 arrivals,
+/// compared against a trace materialized from the same bytes) must agree
+/// on the full report and event stream.
 TEST(StreamingIdentityTest, SourceRunsMatchVectorRunsExactly) {
   const auto workload = generate_workload(golden_workload_config());
 
@@ -630,83 +628,56 @@ TEST(StreamingIdentityTest, SourceRunsMatchVectorRunsExactly) {
   const FileSet csv_files =
       FileSet::from_trace_stats(compute_trace_stats(csv_trace));
 
-  for (const IdleScheduler scheduler :
-       {IdleScheduler::kTimerHeap, IdleScheduler::kEventQueue}) {
-    const SystemConfig config = identity_config(scheduler);
-    for (const std::string policy : {"read", "maid", "pdc"}) {
-      const std::string label =
-          policy + "/" +
-          (scheduler == IdleScheduler::kTimerHeap ? "timer" : "queue");
+  const SystemConfig config = identity_config();
+  for (const std::string policy : {"read", "maid", "pdc"}) {
+    const SessionRun golden =
+        run_with_workload(config, policy, workload.files, workload.trace);
 
-      const SessionRun golden =
-          run_with_workload(config, policy, workload.files, workload.trace);
+    TraceSource adapter(workload.trace);
+    const SessionRun via_adapter =
+        run_with_source(config, policy, workload.files, adapter);
+    EXPECT_EQ(via_adapter.report_json, golden.report_json) << policy;
+    EXPECT_EQ(via_adapter.events, golden.events) << policy;
 
-      TraceSource adapter(workload.trace);
-      const SessionRun via_adapter =
-          run_with_source(config, policy, workload.files, adapter);
-      EXPECT_EQ(via_adapter.report_json, golden.report_json) << label;
-      EXPECT_EQ(via_adapter.events, golden.events) << label;
+    std::istringstream jsonl_in(jsonl_text.str());
+    JsonlStreamSource jsonl(jsonl_in, "golden.jsonl");
+    const SessionRun via_jsonl =
+        run_with_source(config, policy, workload.files, jsonl);
+    EXPECT_EQ(via_jsonl.report_json, golden.report_json) << policy;
+    EXPECT_EQ(via_jsonl.events, golden.events) << policy;
 
-      std::istringstream jsonl_in(jsonl_text.str());
-      JsonlStreamSource jsonl(jsonl_in, "golden.jsonl");
-      const SessionRun via_jsonl =
-          run_with_source(config, policy, workload.files, jsonl);
-      EXPECT_EQ(via_jsonl.report_json, golden.report_json) << label;
-      EXPECT_EQ(via_jsonl.events, golden.events) << label;
-
-      const SessionRun csv_golden =
-          run_with_workload(config, policy, csv_files, csv_trace);
-      std::istringstream csv_in(csv_text.str());
-      CsvStreamSource csv(csv_in, "golden.csv");
-      const SessionRun via_csv =
-          run_with_source(config, policy, csv_files, csv);
-      EXPECT_EQ(via_csv.report_json, csv_golden.report_json) << label;
-      EXPECT_EQ(via_csv.events, csv_golden.events) << label;
-    }
+    const SessionRun csv_golden =
+        run_with_workload(config, policy, csv_files, csv_trace);
+    std::istringstream csv_in(csv_text.str());
+    CsvStreamSource csv(csv_in, "golden.csv");
+    const SessionRun via_csv =
+        run_with_source(config, policy, csv_files, csv);
+    EXPECT_EQ(via_csv.report_json, csv_golden.report_json) << policy;
+    EXPECT_EQ(via_csv.events, csv_golden.events) << policy;
   }
 }
 
 // ------------------------------------------------------- online READ
 
-TEST(OnlineReadTest, DeterministicAcrossSchedulersAndSources) {
+TEST(OnlineReadTest, DeterministicAcrossSources) {
   const auto workload = generate_workload(golden_workload_config());
   std::ostringstream jsonl_text;
   write_jsonl_trace(workload.trace, jsonl_text);
 
-  std::string timer_events;
-  std::map<std::string, std::uint64_t> timer_counters;
-  for (const IdleScheduler scheduler :
-       {IdleScheduler::kTimerHeap, IdleScheduler::kEventQueue}) {
-    const SystemConfig config = identity_config(scheduler);
-    std::ostringstream events;
-    JsonlTraceWriter writer(events);
-    const SystemReport golden = SimulationSession(config)
-                                    .with_workload(workload)
-                                    .with_policy("online-read")
-                                    .with_observer(writer)
-                                    .run();
-    std::istringstream jsonl_in(jsonl_text.str());
-    JsonlStreamSource jsonl(jsonl_in, "golden.jsonl");
-    const SessionRun streamed =
-        run_with_source(config, "online-read", workload.files, jsonl);
-    EXPECT_EQ(streamed.report_json, to_json(golden));
-    EXPECT_EQ(streamed.events, events.str());
-
-    // Across schedulers, only the sim.idle_checks* churn family may
-    // differ (the same allowance test_scheduler_golden pins).
-    std::map<std::string, std::uint64_t> comparable;
-    for (const auto& [name, value] : golden.sim.counters) {
-      if (name.rfind("sim.idle_checks", 0) == 0) continue;
-      comparable.emplace(name, value);
-    }
-    if (scheduler == IdleScheduler::kTimerHeap) {
-      timer_events = events.str();
-      timer_counters = comparable;
-    } else {
-      EXPECT_EQ(events.str(), timer_events);
-      EXPECT_EQ(comparable, timer_counters);
-    }
-  }
+  const SystemConfig config = identity_config();
+  std::ostringstream events;
+  JsonlTraceWriter writer(events);
+  const SystemReport golden = SimulationSession(config)
+                                  .with_workload(workload)
+                                  .with_policy("online-read")
+                                  .with_observer(writer)
+                                  .run();
+  std::istringstream jsonl_in(jsonl_text.str());
+  JsonlStreamSource jsonl(jsonl_in, "golden.jsonl");
+  const SessionRun streamed =
+      run_with_source(config, "online-read", workload.files, jsonl);
+  EXPECT_EQ(streamed.report_json, to_json(golden));
+  EXPECT_EQ(streamed.events, events.str());
 }
 
 TEST(OnlineReadTest, PromotesBetweenEpochBoundaries) {
