@@ -1,13 +1,21 @@
 // micro_benchmarks — google-benchmark microbenchmarks for the hot paths:
-// idle-timer re-arm, Zipf sampling, disk service, PRESS evaluation, and
-// end-to-end simulation throughput. These guard against performance
-// regressions that would make the Fig. 7 grid impractical.
+// idle-timer re-arm, Zipf sampling, disk service, PRESS evaluation,
+// end-to-end simulation throughput, and JSONL event formatting. These guard
+// against performance regressions that would make the Fig. 7 grid
+// impractical.
 #include <benchmark/benchmark.h>
 
+#include <charconv>
+#include <ostream>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <vector>
 
+#include "core/session.h"
 #include "core/system.h"
 #include "obs/counter_registry.h"
+#include "obs/jsonl_writer.h"
 #include "obs/time_series.h"
 #include "policy/online_read_policy.h"
 #include "policy/read_policy.h"
@@ -16,6 +24,7 @@
 #include "sim/idle_timer.h"
 #include "trace/csv_trace.h"
 #include "trace/stream_reader.h"
+#include "util/fmt.h"
 #include "workload/synthetic.h"
 #include "workload/zipf.h"
 
@@ -241,6 +250,115 @@ void BM_CounterRegistryAddByName(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CounterRegistryAddByName);
+
+// ---- JSONL emission ----------------------------------------------------
+
+/// Request events of a wc98-light READ replay (8 disks, epoch 3600 s; the
+/// day generated at 50,000 requests), recorded once: the values the JSONL
+/// request line formats on a real run.
+class RequestCapture final : public SimObserver {
+ public:
+  void on_request_complete(const RequestCompleteEvent& event) override {
+    events.push_back(event);
+  }
+  std::vector<RequestCompleteEvent> events;
+};
+
+const std::vector<RequestCompleteEvent>& read_day_requests() {
+  static const std::vector<RequestCompleteEvent> events = [] {
+    auto wc = worldcup98_light_config(42);
+    wc.request_count = 50'000;
+    const auto w = generate_workload(wc);
+    SystemConfig cfg;
+    cfg.sim.disk_count = 8;
+    cfg.sim.epoch = Seconds{3600.0};
+    RequestCapture capture;
+    (void)SimulationSession(cfg)
+        .with_workload(w)
+        .with_policy("read")
+        .with_observer(capture)
+        .run();
+    return std::move(capture.events);
+  }();
+  return events;
+}
+
+/// The six doubles of every captured request line, in line order.
+const std::vector<double>& read_day_doubles() {
+  static const std::vector<double> values = [] {
+    std::vector<double> out;
+    for (const auto& e : read_day_requests()) {
+      out.insert(out.end(),
+                 {e.arrival.value(), e.completion.value(),
+                  e.response_time().value(), e.backlog.value(),
+                  e.service_time.value(), e.energy.value()});
+    }
+    return out;
+  }();
+  return values;
+}
+
+/// `%.17g` of one captured value per iteration. Arg 0 is append_double
+/// (the integer fast path), Arg 1 the std::to_chars reference it matches.
+void BM_FormatDouble17(benchmark::State& state) {
+  const auto& values = read_day_doubles();
+  const bool reference = state.range(0) == 1;
+  state.SetLabel(reference ? "std::to_chars" : "append_double");
+  std::string out;
+  out.reserve(64);
+  char buf[64];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const double v = values[i];
+    if (++i == values.size()) i = 0;
+    if (reference) {
+      const auto res = std::to_chars(buf, buf + sizeof buf, v,
+                                     std::chars_format::general, 17);
+      benchmark::DoNotOptimize(buf);
+      benchmark::DoNotOptimize(res.ptr);
+    } else {
+      out.clear();
+      append_double(out, v, 17);
+      benchmark::DoNotOptimize(out.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FormatDouble17)->Arg(0)->Arg(1);
+
+/// Discards output, counting the bytes.
+class DiscardBuffer final : public std::streambuf {
+ public:
+  std::int64_t bytes = 0;
+
+ protected:
+  int overflow(int c) override {
+    if (c != traits_type::eof()) ++bytes;
+    return traits_type::not_eof(c);
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes += n;
+    return n;
+  }
+};
+
+/// One JSONL request line per iteration, into a discarding stream.
+void BM_JsonlRequestLine(benchmark::State& state) {
+  const auto& events = read_day_requests();
+  DiscardBuffer sink;
+  std::ostream out(&sink);
+  JsonlTraceWriter writer(out);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    writer.on_request_complete(events[i]);
+    if (++i == events.size()) i = 0;
+    benchmark::DoNotOptimize(sink.bytes);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(sink.bytes);
+}
+BENCHMARK(BM_JsonlRequestLine);
 
 }  // namespace
 

@@ -1,9 +1,14 @@
 // jsonl_writer.h — streams simulation events to a JSON Lines file/stream,
 // one self-describing object per line, in emission order. Because the
 // simulator's event order is deterministic, two same-seed runs produce
-// byte-identical output (numbers are printed at full precision with a
-// fixed format; no wall-clock or locale state leaks in) — verified by
-// tests/test_observer.cpp.
+// byte-identical output — verified by tests/test_observer.cpp.
+//
+// Each line is assembled in one reused buffer and reaches the stream with
+// a single unformatted write(). Floats are `%.17g` via util/fmt.h
+// (append_double's exact integer fast path, std::to_chars outside it) and
+// integers go through std::to_chars, so neither the stream's imbued locale
+// nor the global one can change a byte, and the caller's stream is left
+// as it was handed over.
 #pragma once
 
 #include <cstdint>
@@ -70,15 +75,17 @@ class JsonlTraceWriter final : public SimObserver {
   [[nodiscard]] std::uint64_t lines_written() const { return lines_; }
 
  private:
-  std::ostream& line();
-  /// Pin the classic "C" locale so host-installed global locales cannot
-  /// add grouping separators to the integer fields.
-  void imbue_classic();
+  /// Appends literals, strings, integers and doubles to line_.
+  template <typename... Parts>
+  void append(const Parts&... parts);
+  /// Writes line_ as one line and clears it for the next event.
+  void write_line();
 
   std::ofstream owned_;
   std::ostream* out_;
   JsonlOptions options_;
   std::uint64_t lines_ = 0;
+  std::string line_;
 };
 
 }  // namespace pr

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <locale>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -444,6 +445,52 @@ TEST(JsonlTraceWriter, EventFilterSuppressesRequestLines) {
   EXPECT_EQ(out.str().find("\"ev\":\"request\""), std::string::npos);
   EXPECT_NE(out.str().find("\"ev\":\"run_start\""), std::string::npos);
   EXPECT_NE(out.str().find("\"ev\":\"run_end\""), std::string::npos);
+}
+
+/// Groups thousands and uses a decimal comma: every number a locale-aware
+/// `<<` prints under it differs from the classic bytes.
+class GroupingCommaPunct : public std::numpunct<char> {
+ protected:
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+TEST(JsonlTraceWriter, StreamLocaleChangesNoByteAndIsLeftAlone) {
+  auto wc = worldcup98_light_config(11);
+  wc.file_count = 200;
+  wc.request_count = 5'000;
+  const auto w = generate_workload(wc);
+
+  const auto run_into = [&w](std::ostream& out) {
+    SystemConfig cfg;
+    cfg.sim.disk_count = 4;
+    cfg.sim.epoch = Seconds{600.0};
+    JsonlOptions options;
+    options.copies = true;
+    JsonlTraceWriter writer(out, options);
+    (void)SimulationSession(cfg)
+        .with_workload(w)
+        .with_policy("read")
+        .with_observer(writer)
+        .run();
+  };
+
+  std::ostringstream classic;
+  classic.imbue(std::locale::classic());
+  run_into(classic);
+
+  std::ostringstream custom;
+  custom.imbue(std::locale(std::locale::classic(), new GroupingCommaPunct));
+  run_into(custom);
+
+  // Request sizes run past 1000 bytes, so grouping would have shown.
+  EXPECT_NE(classic.str().find(R"("bytes":)"), std::string::npos);
+  EXPECT_EQ(custom.str(), classic.str());
+  // The writer must not re-imbue a stream it does not own.
+  EXPECT_EQ(std::use_facet<std::numpunct<char>>(custom.getloc())
+                .decimal_point(),
+            ',');
 }
 
 TEST(JsonlTraceWriter, ThrowsOnUnopenablePath) {

@@ -18,22 +18,22 @@ TEST(Parse, U64Accepts) {
 }
 
 TEST(Parse, U64RejectsTrailingGarbage) {
-  EXPECT_THROW(parse_u64("8x", "k"), std::invalid_argument);
-  EXPECT_THROW(parse_u64("4 ", "k"), std::invalid_argument);
-  EXPECT_THROW(parse_u64(" 4", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_u64("8x", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_u64("4 ", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_u64(" 4", "k"), std::invalid_argument);
 }
 
 TEST(Parse, U64RejectsSignsAndEmpty) {
-  EXPECT_THROW(parse_u64("-5", "k"), std::invalid_argument);
-  EXPECT_THROW(parse_u64("+5", "k"), std::invalid_argument);
-  EXPECT_THROW(parse_u64("", "k"), std::invalid_argument);
-  EXPECT_THROW(parse_u64("18446744073709551616", "k"),
+  EXPECT_THROW((void)parse_u64("-5", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_u64("+5", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_u64("", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_u64("18446744073709551616", "k"),
                std::invalid_argument);  // overflow
 }
 
 TEST(Parse, ErrorNamesTheFlag) {
   try {
-    parse_u64("8x", "--disks");
+    (void)parse_u64("8x", "--disks");
     FAIL() << "expected throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("--disks"), std::string::npos);
@@ -48,10 +48,10 @@ TEST(Parse, DoubleAccepts) {
 }
 
 TEST(Parse, DoubleRejects) {
-  EXPECT_THROW(parse_double("1.5x", "k"), std::invalid_argument);
-  EXPECT_THROW(parse_double("", "k"), std::invalid_argument);
-  EXPECT_THROW(parse_double("nan", "k"), std::invalid_argument);
-  EXPECT_THROW(parse_double("inf", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_double("1.5x", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_double("", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_double("nan", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_double("inf", "k"), std::invalid_argument);
 }
 
 TEST(Parse, Bool) {
@@ -63,12 +63,12 @@ TEST(Parse, Bool) {
   EXPECT_FALSE(parse_bool("no", "k"));
   EXPECT_FALSE(parse_bool("0", "k"));
   EXPECT_FALSE(parse_bool("off", "k"));
-  EXPECT_THROW(parse_bool("maybe", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_bool("maybe", "k"), std::invalid_argument);
 }
 
 TEST(Parse, SizeMatchesU64OnLP64) {
   EXPECT_EQ(parse_size("123", "k"), 123u);
-  EXPECT_THROW(parse_size("12.5", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_size("12.5", "k"), std::invalid_argument);
 }
 
 }  // namespace
