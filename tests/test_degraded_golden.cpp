@@ -173,6 +173,37 @@ TEST(DegradedGolden, StripedReadRaid5ReconstructsChunks) {
   EXPECT_EQ(run.jsonl, 13440546778291802380ULL) << "JSONL stream hash drifted";
 }
 
+// Control, faults and rebuild in one run: the latency and epoch
+// controllers move H and the epoch stride (boundaries 150, 300, 375, 435,
+// 495, ...), a slowdown lands on a rebuild source, and disk 4 fail-stops
+// exactly on the 495 s boundary, so epoch work, the fault, its rebuild
+// steps (which wake spun-down sources) and DPM idle checks all interleave.
+// Captured before the one-function event merge in ArraySimulator.
+TEST(DegradedGolden, ControlledRaid5FailStopOnEpochBoundary) {
+  SimConfig sc = array_config();
+  sc.epoch = Seconds{150.0};
+  sc.control.enabled = true;
+  sc.control.target_rt_ms = 20.0;
+  sc.control.adapt_epoch = true;
+  sc.redundancy.kind = RedundancyKind::kRaid5;
+  sc.redundancy.group = 4;
+  sc.redundancy.rebuild = true;
+  sc.redundancy.rebuild_mbps = 0.002;
+  sc.redundancy.rebuild_chunk = 64 * kKiB;
+  const FaultPlan plan = FaultPlan::from_events({
+      FaultEvent{Seconds{200.0}, 5, FaultKind::kSlowdown, 2.0},
+      FaultEvent{Seconds{495.0}, 4, FaultKind::kFail, 1.0},
+  });
+  const DegradedRun run = run_degraded(sc, "read", plan);
+  EXPECT_GT(counter(run.sim, "control.epoch_scaled"), 0u);
+  EXPECT_GT(counter(run.sim, "redundancy.rebuild_steps"), 0u);
+  EXPECT_GT(counter(run.sim, "redundancy.rebuild_wakeups"), 0u);
+  EXPECT_GT(counter(run.sim, "sim.requests_reconstructed"), 0u);
+  EXPECT_GT(counter(run.sim, "sim.requests_slowed"), 0u);
+  EXPECT_EQ(run.result, 1433849590576941707ULL) << "result dump hash drifted";
+  EXPECT_EQ(run.jsonl, 2977480775716578141ULL) << "JSONL stream hash drifted";
+}
+
 #else
 
 TEST(DegradedGolden, SkippedOffX86) {
