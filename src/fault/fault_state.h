@@ -2,8 +2,8 @@
 // consults before dispatch. The simulator owns one FaultState, applies
 // FaultPlan events to it in time order, and checks failed()/slowdown()
 // when routing; redundancy schemes (redundancy/scheme.h) see it through
-// ArrayContext::disk_failed() / disk_slowdown() to pick live copies or
-// surviving stripe units.
+// ArrayContext::disk_failed() to pick live copies or surviving stripe
+// units.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +29,7 @@ class FaultState {
     failed_.assign(disk_count, 0);
     fail_since_.assign(disk_count, Seconds{0.0});
     slowdown_.assign(disk_count, 1.0);
+    failed_count_ = 0;
   }
 
   [[nodiscard]] std::size_t disk_count() const { return failed_.size(); }
@@ -40,11 +41,9 @@ class FaultState {
   [[nodiscard]] double slowdown(DiskId d) const {
     return d < slowdown_.size() ? slowdown_[d] : 1.0;
   }
-  [[nodiscard]] std::size_t failed_count() const {
-    std::size_t n = 0;
-    for (const std::uint8_t f : failed_) n += f;
-    return n;
-  }
+  /// Disks currently failed — O(1), so a fault-free run's per-request
+  /// "any chunk on a failed disk?" test is one comparison.
+  [[nodiscard]] std::size_t failed_count() const { return failed_count_; }
 
   ApplyResult apply(const FaultEvent& e) {
     ApplyResult r;
@@ -53,12 +52,14 @@ class FaultState {
       case FaultKind::kFail:
         if (failed_[e.disk] != 0) return r;
         failed_[e.disk] = 1;
+        ++failed_count_;
         fail_since_[e.disk] = e.time;
         r.changed = true;
         break;
       case FaultKind::kRecover:
         if (failed_[e.disk] == 0) return r;
         failed_[e.disk] = 0;
+        --failed_count_;
         slowdown_[e.disk] = 1.0;
         r.downtime = e.time - fail_since_[e.disk];
         r.changed = true;
@@ -76,6 +77,7 @@ class FaultState {
   std::vector<std::uint8_t> failed_;
   std::vector<Seconds> fail_since_;
   std::vector<double> slowdown_;
+  std::size_t failed_count_ = 0;
 };
 
 }  // namespace pr

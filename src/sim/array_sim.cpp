@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <stdexcept>
 
 #include "control/control_loop.h"
@@ -18,6 +19,7 @@ ArrayContext::ArrayContext(const SimConfig& config, const FileSet& files)
     throw std::invalid_argument("ArrayContext: disk_count == 0");
   }
   idle_timer_.resize(config.disk_count);
+  fault_.resize(config.disk_count);
   h_policy_transitions_ = counters_.intern("sim.policy_transitions");
   soa_ = std::make_unique<DiskArraySoA>(config.disk_count);
   disks_.reserve(config.disk_count);
@@ -121,26 +123,28 @@ Seconds ArrayContext::request_transition(DiskId d, DiskSpeed target) {
   if (d >= disks_.size()) {
     throw std::invalid_argument("ArrayContext::request_transition: bad disk");
   }
-  const DiskSpeed from = disks_[d].speed();
-  const Joules energy_before =
-      observer_ != nullptr ? disks_[d].ledger().energy : Joules{0.0};
-  const Seconds finish = disks_[d].transition(now_, target);
-  if (from != target) {
-    counters_.add(h_policy_transitions_);
-    emit_transition(d, from, target, now_, finish, TransitionCause::kPolicy,
-                    disks_[d].ledger().energy - energy_before);
-  }
-  return finish;
+  return change_speed(d, target, TransitionCause::kPolicy,
+                      h_policy_transitions_);
 }
 
-void ArrayContext::emit_transition(DiskId d, DiskSpeed from, DiskSpeed to,
-                                   Seconds at, Seconds finish,
-                                   TransitionCause cause, Joules energy) {
-  if (observer_ == nullptr || from == to) return;
-  observer_->on_speed_transition(
-      SpeedTransitionEvent{at, finish, d, from, to, cause, energy});
-  observer_->on_disk_state_change(
-      DiskStateChangeEvent{at, d, power_state(from), power_state(to)});
+Seconds ArrayContext::change_speed(DiskId d, DiskSpeed target,
+                                   TransitionCause cause,
+                                   CounterRegistry::Handle counter) {
+  Disk& disk = disks_[d];
+  const DiskSpeed from = disk.speed();
+  const Joules energy_before =
+      observer_ != nullptr ? disk.ledger().energy : Joules{0.0};
+  const Seconds finish = disk.transition(now_, target);
+  if (from == target) return finish;
+  counters_.add(counter);
+  if (observer_ != nullptr) {
+    observer_->on_speed_transition(SpeedTransitionEvent{
+        now_, finish, d, from, target, cause,
+        disk.ledger().energy - energy_before});
+    observer_->on_disk_state_change(
+        DiskStateChangeEvent{now_, d, power_state(from), power_state(target)});
+  }
+  return finish;
 }
 
 void ArrayContext::set_dpm(DiskId d, const DpmConfig& config) {
@@ -182,7 +186,7 @@ class ArraySimulator {
                  RequestSource& source, Policy& policy, SimObserver* observer,
                  const FaultPlan* faults)
       : config_(config), files_(files), source_(source), policy_(policy),
-        ctx_(config, files), faults_(faults), control_(config.control),
+        ctx_(config, files), control_(config.control),
         epoch_len_(config.epoch),
         h_epochs_(ctx_.counters_.intern("sim.epochs")),
         h_idle_checks_(ctx_.counters_.intern("sim.idle_checks")),
@@ -191,12 +195,29 @@ class ArraySimulator {
         h_spin_vetoed_(ctx_.counters_.intern("sim.spin_downs_vetoed")),
         h_spin_ups_(ctx_.counters_.intern("sim.spin_ups_to_serve")) {
     ctx_.observer_ = observer;
-    // Fault counters are interned only when a non-empty plan is attached:
-    // CounterRegistry snapshots include zero-valued registered counters,
-    // so interning unconditionally would change fault-free reports.
-    ctx_.faults_on_ = faults != nullptr && !faults->empty();
-    if (ctx_.faults_on_) {
-      ctx_.fault_.resize(config.disk_count);
+    if (faults != nullptr) plan_ = faults->events();
+    // Redundancy seam resolution: a parity scheme configured on the array
+    // wins; otherwise the policy may expose its own copy set (replicas,
+    // the MAID cache) as a scheme; otherwise degraded requests are lost.
+    // The config scheme is built (and validated) even on fault-free runs
+    // so a bad config errors deterministically.
+    if (config.redundancy.kind != RedundancyKind::kNone) {
+      owned_scheme_ = make_scheme(config.redundancy, config.disk_count);
+    }
+    scheme_ =
+        owned_scheme_ != nullptr ? owned_scheme_.get() : policy_.redundancy();
+    const bool parity = scheme_ != nullptr && scheme_->parity();
+    if (parity && config.redundancy.rebuild) {
+      rebuild_.configure(config.redundancy.rebuild_mbps,
+                         config.redundancy.rebuild_chunk);
+    }
+    // Which counters a run registers is the one thing decided here: a
+    // CounterRegistry snapshot includes zero-valued registered counters, so
+    // the fault and redundancy sets are interned only when a non-empty plan
+    // can make them fire. Nothing else asks whether a subsystem is on: an
+    // empty plan, an idle rebuild scheduler and an all-live FaultState
+    // never produce an event.
+    if (!plan_.empty()) {
       h_faults_ = ctx_.counters_.intern("sim.faults_injected");
       h_recovers_ = ctx_.counters_.intern("sim.fault_recoveries");
       h_slowdowns_ = ctx_.counters_.intern("sim.fault_slowdowns");
@@ -204,26 +225,10 @@ class ArraySimulator {
       h_redirected_ = ctx_.counters_.intern("sim.requests_degraded");
       h_slowed_ = ctx_.counters_.intern("sim.requests_slowed");
     }
-    // Redundancy seam resolution: a parity scheme configured on the array
-    // wins; otherwise the policy may expose its own copy set (replicas,
-    // the MAID cache) as a scheme; otherwise degraded requests are lost.
-    // The config scheme is built (and validated) even on fault-free runs
-    // so a bad config errors deterministically; the parity machinery and
-    // its counters arm only when the seam can actually fire — same
-    // zero-valued-counter reasoning as the fault counters above.
-    if (config.redundancy.kind != RedundancyKind::kNone) {
-      owned_scheme_ = make_scheme(config.redundancy, config.disk_count);
-    }
-    scheme_ =
-        owned_scheme_ != nullptr ? owned_scheme_.get() : policy_.redundancy();
-    parity_on_ = ctx_.faults_on_ && scheme_ != nullptr && scheme_->parity();
-    if (parity_on_) {
+    if (!plan_.empty() && parity) {
       h_reconstructed_ = ctx_.counters_.intern("sim.requests_reconstructed");
       h_data_loss_ = ctx_.counters_.intern("redundancy.data_loss_events");
       if (config.redundancy.rebuild) {
-        rebuild_on_ = true;
-        rebuild_.configure(config.redundancy.rebuild_mbps,
-                           config.redundancy.rebuild_chunk);
         h_rebuild_steps_ = ctx_.counters_.intern("redundancy.rebuild_steps");
         h_rebuild_wakeups_ =
             ctx_.counters_.intern("redundancy.rebuild_wakeups");
@@ -235,10 +240,11 @@ class ArraySimulator {
             ctx_.counters_.intern("redundancy.rebuilds_aborted");
       }
     }
-    // Control counters arm only with the subsystem enabled — the same
-    // zero-valued-counter reasoning as the fault set above keeps every
-    // control-free report byte-identical. (The ControlLoop member itself
-    // is always constructed: a bad config errors deterministically even
+    // Control stays a switch: it folds every served request into the
+    // epoch window and runs a controller step per boundary, work a
+    // control-free run must not pay. Its counters arm with it, for the
+    // same zero-valued-counter reason. (The ControlLoop member itself is
+    // always constructed: a bad config errors deterministically even
     // before the first epoch fires.)
     control_on_ = config.control.enabled;
     if (control_on_) {
@@ -268,9 +274,9 @@ class ArraySimulator {
     // Requests are pulled in batches (one virtual dispatch per batch, not
     // per request) and each batch is processed against the cached wake
     // hint: while arrivals stay strictly below the earliest pending
-    // deferred event, the drain machinery is one comparison. Both are
-    // transport/caching details — the per-request event interleaving is
-    // unchanged, which the seed-layout and degraded-path goldens pin.
+    // deferred event or boundary, the event merge is one comparison. Both
+    // are transport/caching details — the per-request event interleaving
+    // is unchanged, which the seed-layout and degraded-path goldens pin.
     std::array<Request, kRequestBatch> batch;
     for (std::size_t filled = 0;
          (filled = source_.next_batch(batch.data(), batch.size())) > 0;) {
@@ -319,22 +325,19 @@ class ArraySimulator {
       // degraded-read planning and no service. The primary chunk's disk
       // stands in for the stripe's backlog.
       if (control_on_ && !admit(req, primary)) continue;
-      const std::vector<StripeChunk>* serves = &chunks_;
-      if (ctx_.faults_on_) {
-        serves = plan_degraded(req, primary);
-        if (serves == nullptr) {
-          // No live copy: the request is recorded, not served — no
-          // response time sample, no completion event, no after_serve (the
-          // epoch popularity bump above stands: demand existed even if
-          // unmet).
-          ctx_.counters_.add(h_lost_);
-          if (obs != nullptr) {
-            obs->on_request_degraded(RequestDegradedEvent{
-                req.arrival, req.file, primary, primary,
-                DegradedOutcome::kLost, 1.0});
-          }
-          continue;
+      const std::vector<StripeChunk>* const serves =
+          plan_degraded(req, primary);
+      if (serves == nullptr) {
+        // No live copy: the request is recorded, not served — no response
+        // time sample, no completion event, no after_serve (the epoch
+        // popularity bump above stands: demand existed even if unmet).
+        ctx_.counters_.add(h_lost_);
+        if (obs != nullptr) {
+          obs->on_request_degraded(RequestDegradedEvent{
+              req.arrival, req.file, primary, primary,
+              DegradedOutcome::kLost, 1.0});
         }
+        continue;
       }
       // All chunks start in parallel; the request completes when the
       // slowest disk finishes its piece.
@@ -436,34 +439,27 @@ class ArraySimulator {
           backlog_limit < kNeverTime &&
           disk.ready_time() - arrival > backlog_limit;
       if (promote_always || promote_on_load) {
-        const Joules spin_before =
-            obs != nullptr ? disk.ledger().energy : Joules{0.0};
-        const Seconds finish = disk.transition(arrival, DiskSpeed::kHigh);
-        ctx_.counters_.add(h_spin_ups_);
-        ctx_.emit_transition(d, DiskSpeed::kLow, DiskSpeed::kHigh, arrival,
-                             finish, TransitionCause::kSpinUpToServe,
-                             disk.ledger().energy - spin_before);
+        ctx_.change_speed(d, DiskSpeed::kHigh, TransitionCause::kSpinUpToServe,
+                          h_spin_ups_);
       }
     }
     Seconds completion =
         ctx_.positioned_io()
             ? disk.serve_positioned(arrival, bytes, ctx_.cylinder_of(file))
             : disk.serve(arrival, bytes);
-    if (ctx_.faults_on_) {
-      // Injected slowdown: the disk pays an extra internal transfer of
-      // (factor − 1) × bytes right behind the request (average-cost seek
-      // even in positional mode — degraded media, not head travel). The
-      // chaser sits inside the observer snapshot, so the request's energy
-      // and service-time deltas include it.
-      const double factor = ctx_.fault_.slowdown(d);
-      if (factor > 1.0) {
-        const auto extra = static_cast<Bytes>(
-            (factor - 1.0) * static_cast<double>(bytes));
-        if (extra > 0) {
-          completion = disk.serve(completion, extra, /*internal=*/true);
-          request_slowed_ = true;
-          request_slowdown_ = std::max(request_slowdown_, factor);
-        }
+    // Injected slowdown: the disk pays an extra internal transfer of
+    // (factor − 1) × bytes right behind the request (average-cost seek
+    // even in positional mode — degraded media, not head travel). The
+    // chaser sits inside the observer snapshot, so the request's energy
+    // and service-time deltas include it.
+    const double factor = ctx_.fault_.slowdown(d);
+    if (factor > 1.0) {
+      const auto extra =
+          static_cast<Bytes>((factor - 1.0) * static_cast<double>(bytes));
+      if (extra > 0) {
+        completion = disk.serve(completion, extra, /*internal=*/true);
+        request_slowed_ = true;
+        request_slowdown_ = std::max(request_slowdown_, factor);
       }
     }
     if (obs != nullptr) {
@@ -474,7 +470,7 @@ class ArraySimulator {
     return completion;
   }
 
-  /// Plan a request under an attached fault plan: each chunk on a failed
+  /// Plan a request against the live fault state: each chunk on a failed
   /// disk consults the redundancy seam. Without a scheme (or with RAID-0)
   /// any failure loses the whole request; a copy-set scheme redirects the
   /// chunk to a live copy; parity replaces it with costed reads on its
@@ -483,9 +479,12 @@ class ArraySimulator {
   /// survives. Returns the serve list — chunks_ itself when no chunk sits
   /// on a failed disk — or nullptr when the request is lost. A redirected
   /// first chunk makes the redirect target the request's disk (`primary`).
+  /// With no disk failed (every fault-free request) the test is one
+  /// comparison.
   const std::vector<StripeChunk>* plan_degraded(const Request& req,
                                                 DiskId& primary) {
-    if (std::none_of(chunks_.begin(), chunks_.end(),
+    if (ctx_.fault_.failed_count() == 0 ||
+        std::none_of(chunks_.begin(), chunks_.end(),
                      [this](const StripeChunk& c) {
                        return ctx_.fault_.failed(c.disk);
                      })) {
@@ -515,7 +514,7 @@ class ArraySimulator {
             chunk.bytes});
       } else if (action == DegradedAction::kReconstruct &&
                  !scratch_reads_.empty()) {
-        PR_ASSERT(parity_on_,
+        PR_ASSERT(scheme_->parity(),
                   "kReconstruct from a non-parity redundancy scheme");
         planned_degrades_.push_back(PlannedDegrade{
             DegradedOutcome::kReconstructed, chunk.disk, chunk.disk,
@@ -571,7 +570,7 @@ class ArraySimulator {
         break;
       }
     }
-    if (!rebuild_on_ || rebuild_.rebuilding(disk)) return;
+    if (!config_.redundancy.rebuild || rebuild_.rebuilding(disk)) return;
     Bytes total = 0;
     for (FileId f = 0; f < ctx_.placement_.size(); ++f) {
       if (ctx_.placement_[f] == disk) total += files_.by_id(f).size;
@@ -588,18 +587,10 @@ class ArraySimulator {
   /// pay the transfer, and drop any pending idle check (the background-
   /// I/O precedent set by migrate/background_copy: no re-arm, the next
   /// foreground serve re-arms).
-  void rebuild_io(DiskId d, Seconds at, Bytes bytes) {
-    Disk& disk = ctx_.disks_[d];
-    if (disk.speed() == DiskSpeed::kLow) {
-      const Joules spin_before =
-          ctx_.observer_ != nullptr ? disk.ledger().energy : Joules{0.0};
-      const Seconds finish = disk.transition(at, DiskSpeed::kHigh);
-      ctx_.counters_.add(h_rebuild_wakeups_);
-      ctx_.emit_transition(d, DiskSpeed::kLow, DiskSpeed::kHigh, at, finish,
-                           TransitionCause::kRebuild,
-                           disk.ledger().energy - spin_before);
-    }
-    if (bytes > 0) disk.serve(at, bytes, /*internal=*/true);
+  void rebuild_io(DiskId d, Bytes bytes) {
+    ctx_.change_speed(d, DiskSpeed::kHigh, TransitionCause::kRebuild,
+                      h_rebuild_wakeups_);
+    if (bytes > 0) ctx_.disks_[d].serve(ctx_.now_, bytes, /*internal=*/true);
     ctx_.cancel_idle_check(d);
   }
 
@@ -614,25 +605,21 @@ class ArraySimulator {
     scratch_sources_.clear();
     scheme_->rebuild_sources(ctx_, step.disk, step.index, scratch_sources_);
     SimObserver* const obs = ctx_.observer_;
-    Joules energy_before{0.0};
-    if (obs != nullptr) {
-      energy_before = ctx_.disks_[step.disk].ledger().energy;
+    // Ledger energy of every disk the step touches (rebuilt disk first).
+    const auto step_energy = [&] {
+      Joules sum = ctx_.disks_[step.disk].ledger().energy;
       for (const DiskId s : scratch_sources_) {
-        energy_before += ctx_.disks_[s].ledger().energy;
+        sum += ctx_.disks_[s].ledger().energy;
       }
-    }
-    for (const DiskId s : scratch_sources_) {
-      rebuild_io(s, at, step.bytes);
-    }
-    rebuild_io(step.disk, at, step.bytes);
+      return sum;
+    };
+    const Joules energy_before = obs != nullptr ? step_energy() : Joules{0.0};
+    for (const DiskId s : scratch_sources_) rebuild_io(s, step.bytes);
+    rebuild_io(step.disk, step.bytes);
     ctx_.counters_.add(h_rebuild_steps_);
     if (obs != nullptr) {
-      Joules energy_after = ctx_.disks_[step.disk].ledger().energy;
-      for (const DiskId s : scratch_sources_) {
-        energy_after += ctx_.disks_[s].ledger().energy;
-      }
       obs->on_rebuild_progress(RebuildProgressEvent{
-          at, step.disk, step.done, step.total, energy_after - energy_before});
+          at, step.disk, step.done, step.total, step_energy() - energy_before});
     }
     if (step.completes) {
       ctx_.counters_.add(h_rebuilds_completed_);
@@ -658,13 +645,15 @@ class ArraySimulator {
           obs->on_disk_fail(
               DiskFailEvent{e.time, e.disk, FaultMode::kFailStop, 1.0});
         }
-        if (parity_on_) on_parity_failure(e.time, e.disk);
+        if (scheme_ != nullptr && scheme_->parity()) {
+          on_parity_failure(e.time, e.disk);
+        }
         break;
       case FaultKind::kRecover:
         ctx_.counters_.add(h_recovers_);
         // The disk came back by external means (a plan kRecover) while a
         // rebuild was still copying — drop the now-moot rebuild.
-        if (rebuild_on_ && rebuild_.abort(e.disk)) {
+        if (rebuild_.abort(e.disk)) {
           ctx_.counters_.add(h_rebuilds_aborted_);
         }
         if (obs != nullptr) {
@@ -682,55 +671,75 @@ class ArraySimulator {
     }
   }
 
-  /// Refresh the cached lower bound on the earliest pending deferred
-  /// event (see ArrayContext::wake_hint_). Called after every slow-path
-  /// drain; schedule_idle_check lowers the hint incrementally in between.
-  void recompute_wake_hint() {
-    Seconds hint = next_epoch_;
-    if (!ctx_.idle_timer_.empty()) {
-      hint = std::min(hint, ctx_.idle_timer_.next_time());
+  /// Which producer owns a deferred event.
+  enum class Source : std::uint8_t { kFault, kRebuild, kIdle };
+
+  struct Deferred {
+    Seconds time;
+    Source source;
+  };
+
+  /// The earliest pending deferred event over the three producers — the
+  /// fault plan's cursor, the rebuild scheduler and the idle-timer heap.
+  /// This is the one place the same-instant order is decided: fault →
+  /// rebuild → idle (a later producer must be strictly earlier to win). A
+  /// producer with nothing pending reports kNeverTime, so a subsystem that
+  /// is not in use never wins and never costs more than this comparison.
+  [[nodiscard]] Deferred next_deferred() const {
+    Deferred next{fault_cursor_ < plan_.size() ? plan_[fault_cursor_].time
+                                               : kNeverTime,
+                  Source::kFault};
+    if (const Seconds r = rebuild_.next_time(); r < next.time) {
+      next = {r, Source::kRebuild};
     }
-    if (ctx_.faults_on_) {
-      const auto& events = faults_->events();
-      if (fault_cursor_ < events.size()) {
-        hint = std::min(hint, events[fault_cursor_].time);
-      }
-      if (rebuild_on_) {
-        hint = std::min(hint, rebuild_.next_time());
-      }
+    const IdleTimerHeap& idle = ctx_.idle_timer_;
+    if (!idle.empty() && idle.next_time() < next.time) {
+      next = {idle.next_time(), Source::kIdle};
     }
-    ctx_.wake_hint_ = hint;
+    return next;
   }
 
-  /// Advance simulated time to `t`, interleaving plan events and rebuild
-  /// steps with the deferred-event stream. Ordering at one instant: epoch
-  /// work → fault events → rebuild steps → DPM idle checks (drain_until
-  /// runs exclusive up to each fault/rebuild instant, then inclusive to
-  /// `t`). The fault-free path collapses to plain drain_until.
+  /// Refresh the cached lower bound on the earliest pending deferred event
+  /// or epoch boundary (see ArrayContext::wake_hint_). Called after every
+  /// slow-path advance; schedule_idle_check lowers the hint in between.
+  void recompute_wake_hint() {
+    ctx_.wake_hint_ = std::min(next_epoch_, next_deferred().time);
+  }
+
+  /// Advance simulated time to `t`: dispatch every deferred event due at or
+  /// before `t` in next_deferred() order, each preceded by the epoch
+  /// boundaries at or before its instant. Each event is claimed before that
+  /// epoch work, so boundary work (a migration disarming an idle check)
+  /// cannot retract an event that is already due. The caller fires the
+  /// boundaries up to an arrival; the end of the run is not an event, so
+  /// boundaries after the last deferred event never fire.
   void advance_until(Seconds t) {
-    if (ctx_.faults_on_) {
-      const auto& events = faults_->events();
-      for (;;) {
-        const Seconds fault_next = fault_cursor_ < events.size()
-                                       ? events[fault_cursor_].time
-                                       : kNeverTime;
-        const Seconds rebuild_next =
-            rebuild_on_ ? rebuild_.next_time() : kNeverTime;
-        const Seconds next = std::min(fault_next, rebuild_next);
-        if (!(next <= t)) break;
-        drain_until(next, /*inclusive=*/false);
-        fire_epochs_until(next);
-        ctx_.now_ = next;
-        if (fault_next <= rebuild_next) {
-          apply_fault(events[fault_cursor_]);
-          ++fault_cursor_;
-        } else {
+    for (Deferred next = next_deferred(); next.time <= t;
+         next = next_deferred()) {
+      switch (next.source) {
+        case Source::kFault: {
+          const FaultEvent& event = plan_[fault_cursor_++];
+          fire_epochs_until(next.time);
+          apply_fault(event);
+          break;
+        }
+        case Source::kRebuild: {
           RebuildScheduler::Step step;
-          if (rebuild_.pop_due(next, step)) run_rebuild_step(step);
+          rebuild_.pop_due(next.time, step);
+          fire_epochs_until(next.time);
+          run_rebuild_step(step);
+          break;
+        }
+        case Source::kIdle: {
+          const IdleTimerHeap::Deadline deadline = ctx_.idle_timer_.pop();
+          PR_INVARIANT(!(deadline.time < ctx_.now_),
+                       "advance_until: idle deadline fired in the past");
+          fire_epochs_until(next.time);
+          handle_idle_check(deadline.disk);
+          break;
         }
       }
     }
-    drain_until(t);
   }
 
   void validate_placement() const {
@@ -748,25 +757,11 @@ class ArraySimulator {
     }
   }
 
-  /// Process idle deadlines with time <= t (< t when not `inclusive`) and
-  /// the epoch boundaries that precede them, in order. Every popped
-  /// deadline is live: re-arming replaces a disk's slot in place.
-  void drain_until(Seconds t, bool inclusive = true) {
-    auto& timer = ctx_.idle_timer_;
-    while (!timer.empty() && (inclusive ? timer.next_time() <= t
-                                        : timer.next_time() < t)) {
-      const auto deadline = timer.pop();
-      PR_INVARIANT(!(deadline.time < ctx_.now_),
-                   "drain_until: idle deadline fired in the past");
-      fire_epochs_until(deadline.time);
-      ctx_.now_ = deadline.time;
-      handle_idle_check(deadline.time, deadline.disk);
-    }
-  }
-
-  /// A live idle check for disk `d` fired at `at`: spin down if the disk
-  /// has genuinely been idle past its (current) threshold.
-  void handle_idle_check(Seconds at, DiskId d) {
+  /// A live idle check for disk `d` fired now (every popped deadline is
+  /// live: re-arming replaces a disk's slot in place): spin down if the
+  /// disk has genuinely been idle past its (current) threshold.
+  void handle_idle_check(DiskId d) {
+    const Seconds at = ctx_.now_;
     Disk& disk = ctx_.disks_[d];
     ctx_.counters_.add(h_idle_checks_);
     if (!ctx_.dpm_[d].spin_down_when_idle) return;
@@ -789,15 +784,12 @@ class ArraySimulator {
       ctx_.counters_.add(h_spin_vetoed_);
       return;
     }
-    const Joules energy_before =
-        ctx_.observer_ != nullptr ? disk.ledger().energy : Joules{0.0};
-    const Seconds finish = disk.transition(at, DiskSpeed::kLow);
-    ctx_.counters_.add(h_spin_downs_);
-    ctx_.emit_transition(d, DiskSpeed::kHigh, DiskSpeed::kLow, at, finish,
-                         TransitionCause::kDpmIdle,
-                         disk.ledger().energy - energy_before);
+    ctx_.change_speed(d, DiskSpeed::kLow, TransitionCause::kDpmIdle,
+                      h_spin_downs_);
   }
 
+  /// The lazy epoch barrier ahead of an event or arrival at `t`: fire
+  /// every boundary <= t, then stand the clock at `t`.
   void fire_epochs_until(Seconds t) {
     while (next_epoch_ <= t) {
       ctx_.now_ = next_epoch_;
@@ -829,6 +821,7 @@ class ArraySimulator {
       ctx_.epoch_requests_ = 0;
       next_epoch_ += epoch_len_;
     }
+    ctx_.now_ = t;
   }
 
   /// Control-mode admission at dispatch: measure the routed disk's FCFS
@@ -985,18 +978,16 @@ class ArraySimulator {
   RequestSource& source_;
   Policy& policy_;
   ArrayContext ctx_;
-  /// Attached fault plan (nullptr or empty = fault-free fast path) and the
-  /// index of its next unapplied event.
-  const FaultPlan* faults_ = nullptr;
+  /// The attached fault plan's events (empty on a fault-free run) and the
+  /// index of the next unapplied one.
+  std::span<const FaultEvent> plan_;
   std::size_t fault_cursor_ = 0;
   /// Resolved redundancy seam: the config-owned parity scheme (wins) or
   /// the policy's copy-set scheme; nullptr = degraded requests are lost.
   std::unique_ptr<RedundancyScheme> owned_scheme_;
   RedundancyScheme* scheme_ = nullptr;
-  /// True when a parity scheme is live under an attached fault plan — the
-  /// reconstruct / data-loss / rebuild machinery can fire.
-  bool parity_on_ = false;
-  bool rebuild_on_ = false;
+  /// Paced rebuilds in flight; configured only for a parity scheme with
+  /// the engine on, and idle (kNeverTime) until a fail-stop starts one.
   RebuildScheduler rebuild_;
   /// Per-request / per-step scratch (cleared before each use). chunks_
   /// holds the request's stripe (one chunk for a non-striped policy).

@@ -9,11 +9,16 @@
 // live, which disk serves a request, what happens at epoch boundaries, and
 // whether a proposed spin-down is allowed.
 //
-// Determinism: arrivals are replayed in trace order; deferred idle checks
-// live in a per-disk IdleTimerHeap with FIFO tie-breaking; every request
-// goes through one plan-then-book dispatch path (a non-striped route() is
-// a one-chunk stripe); policies receive callbacks at well-defined points
-// only.
+// Determinism: arrivals are replayed in trace order; every request goes
+// through one plan-then-book dispatch path (a non-striped route() is a
+// one-chunk stripe); policies receive callbacks at well-defined points
+// only. Deferred events come from three producers — the fault plan's
+// cursor, the rebuild scheduler and the per-disk idle-timer heap (FIFO
+// among equal deadlines) — merged by one function in a fixed order. At one
+// instant τ: epoch boundaries <= τ, then fault events, then rebuild steps,
+// then DPM idle checks, then the arrival. Epochs are a lazy barrier: a
+// boundary fires only ahead of an event or arrival, so a boundary after the
+// last arrival with no later deferred event before the horizon never fires.
 #pragma once
 
 #include <memory>
@@ -109,14 +114,7 @@ class ArrayContext {
   /// True when an injected fail-stop fault currently holds `d` out of
   /// service (always false when no FaultPlan is attached). Redundancy
   /// schemes use this to pick live copies / surviving stripe units.
-  [[nodiscard]] bool disk_failed(DiskId d) const {
-    return faults_on_ && fault_.failed(d);
-  }
-  /// Injected service-inflation factor currently in force on `d` (1 =
-  /// nominal; always 1 when no FaultPlan is attached).
-  [[nodiscard]] double disk_slowdown(DiskId d) const {
-    return faults_on_ ? fault_.slowdown(d) : 1.0;
-  }
+  [[nodiscard]] bool disk_failed(DiskId d) const { return fault_.failed(d); }
 
   // --- placement & data movement --------------------------------------
   /// Initial placement (no I/O cost); each file must be placed exactly
@@ -167,11 +165,12 @@ class ArrayContext {
   /// Allocate a contiguous cylinder range for `f` on disk `d` and record
   /// its start cylinder (positional mode only).
   void assign_cylinders(FileId f, DiskId d);
-  /// Announce an actual speed change (and the derived power-state change)
-  /// to the attached observer; no-op when detached or from == to.
-  /// `energy` is the ledger delta across the transition operation.
-  void emit_transition(DiskId d, DiskSpeed from, DiskSpeed to, Seconds at,
-                       Seconds finish, TransitionCause cause, Joules energy);
+  /// The one speed-change path: transition `d` to `target` at now(); when
+  /// the speed actually changes, bump `counter` and announce the transition
+  /// and its power-state change to the observer, carrying the ledger's
+  /// energy delta across the operation. Returns the finish time.
+  Seconds change_speed(DiskId d, DiskSpeed target, TransitionCause cause,
+                       CounterRegistry::Handle counter);
 
   const SimConfig* config_;
   const FileSet* files_;
@@ -193,22 +192,21 @@ class ArrayContext {
   /// simultaneous deadlines fire in the order they were armed.
   std::uint64_t idle_seq_ = 0;
   /// Batched-dispatch fast path: a lower bound on the time of the
-  /// earliest pending deferred event (idle deadline, epoch boundary,
-  /// fault instant). While an arrival stays strictly below the hint the
-  /// simulator skips the drain machinery entirely — one comparison per
-  /// request. Arming an idle check lowers it; the simulator recomputes it
-  /// after every slow-path drain (cancellations only raise the true
-  /// minimum, so a stale-low hint is conservative, never wrong).
+  /// earliest pending deferred event or epoch boundary. While an arrival
+  /// stays strictly below the hint the simulator skips the event merge
+  /// entirely — one comparison per request. Arming an idle check lowers
+  /// it; the simulator recomputes it from the merge after every slow-path
+  /// advance (cancellations only raise the true minimum, so a stale-low
+  /// hint is conservative, never wrong).
   Seconds wake_hint_{0.0};
   std::uint64_t migrations_ = 0;
   Bytes migration_bytes_ = 0;
   CounterRegistry counters_;
   /// Pre-interned handle for request_transition's hot-path bump.
   CounterRegistry::Handle h_policy_transitions_ = 0;
-  /// Live per-disk fault flags; only consulted when a non-empty FaultPlan
-  /// is attached (faults_on_), so fault-free runs stay byte-identical.
+  /// Live per-disk fault flags; all disks stay live and nominal on a
+  /// fault-free run.
   FaultState fault_;
-  bool faults_on_ = false;
   /// Attached observer (nullptr = detached; every emission point guards on
   /// this, which is the whole zero-cost story).
   SimObserver* observer_ = nullptr;
@@ -324,12 +322,13 @@ class Policy {
 /// ObserverList to attach several observers, or the SimulationSession
 /// builder (core/session.h) for the high-level API.
 /// `faults` (optional) attaches a fault-injection plan (fault/fault_plan.h):
-/// its events are applied in time order interleaved with the usual event
-/// stream (epoch work → fault events → rebuild steps → DPM/request events
-/// at one instant). nullptr or an empty plan is the byte-identical
-/// fault-free fast path. Throws std::invalid_argument if the plan targets
-/// a disk outside the array, or if SimConfig::redundancy is unsatisfiable
-/// on the array (see redundancy/scheme.h validate_redundancy).
+/// its events are applied in time order, merged with the rebuild steps and
+/// DPM idle checks; at one instant the order is epoch work → fault events →
+/// rebuild steps → idle checks → the arrival (see the file comment).
+/// nullptr or an empty plan is the fault-free run. Throws
+/// std::invalid_argument if the plan targets a disk outside the array, or
+/// if SimConfig::redundancy is unsatisfiable on the array (see
+/// redundancy/scheme.h validate_redundancy).
 [[nodiscard]] SimResult run_simulation(const SimConfig& config,
                                        const FileSet& files,
                                        RequestSource& source, Policy& policy,

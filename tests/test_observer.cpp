@@ -200,6 +200,144 @@ TEST(Observer, HookOrderWithinOneRun) {
                    result.total_energy.value());
 }
 
+// ------------------------------------------------- same-instant event order
+
+/// Records the hook stream as compact tags with their instants, in the
+/// ordering contract's vocabulary: "epoch", "fail:d" / "slow:d" /
+/// "recover:d" (fault events), "rebuild_start:d" / "rebuild_step:d" /
+/// "rebuild_done:d", "down:d" / "up:d" (an idle check that spun a disk
+/// down, a spin-up) and "request:d". State changes always follow their
+/// transition and are left out.
+class InstantRecorder : public SimObserver {
+ public:
+  void on_epoch_end(const EpochEndEvent& e) override { add(e.time, "epoch"); }
+  void on_disk_fail(const DiskFailEvent& e) override {
+    add(e.time, e.mode == FaultMode::kFailStop ? "fail" : "slow", e.disk);
+  }
+  void on_disk_recover(const DiskRecoverEvent& e) override {
+    add(e.time, "recover", e.disk);
+  }
+  void on_rebuild_start(const RebuildStartEvent& e) override {
+    add(e.time, "rebuild_start", e.disk);
+  }
+  void on_rebuild_progress(const RebuildProgressEvent& e) override {
+    add(e.time, "rebuild_step", e.disk);
+  }
+  void on_rebuild_complete(const RebuildCompleteEvent& e) override {
+    add(e.time, "rebuild_done", e.disk);
+  }
+  void on_speed_transition(const SpeedTransitionEvent& e) override {
+    add(e.time, e.to == DiskSpeed::kHigh ? "up" : "down", e.disk);
+  }
+  void on_request_complete(const RequestCompleteEvent& e) override {
+    add(e.arrival, "request", e.disk);
+  }
+
+  /// The tags dispatched at exactly `t`, in dispatch order.
+  [[nodiscard]] std::vector<std::string> at(double t) const {
+    std::vector<std::string> out;
+    for (const auto& [time, tag] : tags_) {
+      if (time == t) out.push_back(tag);
+    }
+    return out;
+  }
+
+ private:
+  void add(Seconds t, const std::string& what) {
+    tags_.emplace_back(t.value(), what);
+  }
+  void add(Seconds t, const std::string& what, DiskId d) {
+    add(t, what + ":" + std::to_string(d));
+  }
+
+  std::vector<std::pair<double, std::string>> tags_;
+};
+
+/// One same-instant scenario on a 4-disk RAID-5 array (groups {0,1} and
+/// {2,3}, rebuild on). File 0 lives on disk 0, file 1 on disk 1; disks 2
+/// and 3 hold nothing, so a fail-stop there starts a zero-byte rebuild
+/// whose one step falls due at the failure instant.
+struct OrderRow {
+  const char* name;
+  double tau;
+  /// Epoch stride: the first boundary is at `epoch`.
+  double epoch;
+  /// DPM on with H = tau: every disk's initial idle check falls due at tau.
+  bool idle_at_tau;
+  std::vector<FaultEvent> faults;
+  Trace trace;
+  std::vector<std::string> expected;
+};
+
+FaultEvent fail_at(double t, DiskId d) {
+  return FaultEvent{Seconds{t}, d, FaultKind::kFail, 1.0};
+}
+FaultEvent slow_at(double t, DiskId d) {
+  return FaultEvent{Seconds{t}, d, FaultKind::kSlowdown, 2.0};
+}
+
+// The ordering contract at one instant (docs/OBSERVABILITY.md): epoch
+// boundaries → fault events → rebuild steps → DPM idle checks → the
+// arrival; and the end of the run is not an event. Rows without an
+// arrival at tau get one at 30 on disk 1, which carries the run past tau.
+TEST(Observer, SameInstantOrderingContract) {
+  const Trace at_30 = trace_of({{30.0, 1}});
+  const Trace at_tau = trace_of({{10.0, 0}});
+  const Trace at_0 = trace_of({{0.0, 1}});
+  const std::vector<OrderRow> rows = {
+      {"epoch before fault", 10.0, 10.0, false, {slow_at(10.0, 2)}, at_30,
+       {"epoch", "slow:2"}},
+      {"every plan event at the instant before the rebuild step it started",
+       10.0, 100.0, false, {fail_at(10.0, 2), slow_at(10.0, 3)}, at_30,
+       {"fail:2", "rebuild_start:2", "slow:3", "rebuild_step:2",
+        "rebuild_done:2", "recover:2"}},
+      {"fault before idle checks", 10.0, 100.0, true, {slow_at(10.0, 2)},
+       at_30, {"slow:2", "down:0", "down:1", "down:2", "down:3"}},
+      // The rebuild I/O disarms the checks on disks 2 and 3.
+      {"rebuild step before idle checks", 10.0, 100.0, true,
+       {fail_at(10.0, 2)}, at_30,
+       {"fail:2", "rebuild_start:2", "rebuild_step:2", "rebuild_done:2",
+        "recover:2", "down:0", "down:1"}},
+      {"idle checks before the arrival", 10.0, 100.0, true, {}, at_tau,
+       {"down:0", "down:1", "down:2", "down:3", "up:0", "request:0"}},
+      {"epoch before idle checks", 10.0, 10.0, true, {}, at_30,
+       {"epoch", "down:0", "down:1", "down:2", "down:3"}},
+      {"all five at one instant", 10.0, 10.0, true, {fail_at(10.0, 2)},
+       at_tau,
+       {"epoch", "fail:2", "rebuild_start:2", "rebuild_step:2",
+        "rebuild_done:2", "recover:2", "down:0", "down:1", "up:0",
+        "request:0"}},
+      // Run end: the 2 MiB request completes well after 1 ms, but with no
+      // deferred event after the last arrival no boundary fires ...
+      {"no boundary fires after the last arrival without a later event",
+       0.001, 0.001, false, {}, at_0, {}},
+      // ... while a deferred event inside the horizon pulls it in.
+      {"a later deferred event fires the boundary before it", 0.001, 0.001,
+       false, {slow_at(0.002, 2)}, at_0, {"epoch"}},
+  };
+
+  for (const OrderRow& row : rows) {
+    SCOPED_TRACE(row.name);
+    DpmConfig dpm;
+    dpm.spin_down_when_idle = row.idle_at_tau;
+    dpm.idleness_threshold = Seconds{row.tau};
+    dpm.spin_up_to_serve = true;
+    ProbePolicy policy(dpm);
+    auto cfg = config(4);
+    cfg.epoch = Seconds{row.epoch};
+    cfg.redundancy.kind = RedundancyKind::kRaid5;
+    cfg.redundancy.group = 2;
+    cfg.redundancy.rebuild = true;
+    const FaultPlan plan = FaultPlan::from_events(row.faults);
+
+    InstantRecorder obs;
+    const SimResult result =
+        run_simulation(cfg, two_files(), row.trace, policy, &obs, &plan);
+    ASSERT_GT(result.horizon.value(), row.tau) << "tau lies outside the run";
+    EXPECT_EQ(obs.at(row.tau), row.expected);
+  }
+}
+
 TEST(Observer, ObserverIsReadOnly_ResultsIdenticalWithAndWithout) {
   auto wc = worldcup98_light_config(11);
   wc.file_count = 200;
