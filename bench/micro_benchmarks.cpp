@@ -62,7 +62,7 @@ void BM_ZipfSample(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ZipfSample)->Arg(4'079)->Arg(100'000);
+BENCHMARK(BM_ZipfSample)->Arg(400)->Arg(4'079)->Arg(100'000);
 
 void BM_DiskServe(benchmark::State& state) {
   Disk disk(0, two_speed_cheetah(), DiskSpeed::kHigh);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <numeric>
 #include <stdexcept>
@@ -12,26 +13,41 @@ namespace pr {
 
 namespace {
 
+// Range checks are written !(lo <= x && x <= hi) so that NaN, which
+// compares false with everything, is rejected rather than let through.
 void validate(const SyntheticWorkloadConfig& c) {
+  constexpr double kMax = std::numeric_limits<double>::max();
   if (c.file_count == 0) {
     throw std::invalid_argument("synthetic: file_count == 0");
   }
-  if (!(c.mean_interarrival.value() > 0.0)) {
-    throw std::invalid_argument("synthetic: mean_interarrival <= 0");
+  const double mean = c.mean_interarrival.value();
+  if (!(0.0 < mean && mean <= kMax)) {
+    throw std::invalid_argument("synthetic: mean_interarrival outside (0,inf)");
   }
-  if (!(c.load_factor > 0.0)) {
-    throw std::invalid_argument("synthetic: load_factor <= 0");
+  if (!(0.0 < c.load_factor && c.load_factor <= kMax)) {
+    throw std::invalid_argument("synthetic: load_factor outside (0,inf)");
   }
-  if (c.zipf_alpha < 0.0) {
-    throw std::invalid_argument("synthetic: zipf_alpha < 0");
+  if (!(0.0 <= c.zipf_alpha && c.zipf_alpha <= kMax)) {
+    throw std::invalid_argument("synthetic: zipf_alpha outside [0,inf)");
+  }
+  if (!(-kMax <= c.size_log_mu && c.size_log_mu <= kMax)) {
+    throw std::invalid_argument("synthetic: size_log_mu not finite");
+  }
+  if (!(0.0 <= c.size_log_sigma && c.size_log_sigma <= kMax)) {
+    throw std::invalid_argument("synthetic: size_log_sigma outside [0,inf)");
   }
   if (c.min_file_bytes == 0 || c.max_file_bytes < c.min_file_bytes) {
     throw std::invalid_argument("synthetic: bad size bounds");
   }
-  if (c.diurnal_depth < 0.0 || c.diurnal_depth >= 1.0) {
+  if (!(0.0 <= c.size_popularity_anticorrelation &&
+        c.size_popularity_anticorrelation <= 1.0)) {
+    throw std::invalid_argument(
+        "synthetic: size_popularity_anticorrelation outside [0,1]");
+  }
+  if (!(0.0 <= c.diurnal_depth && c.diurnal_depth < 1.0)) {
     throw std::invalid_argument("synthetic: diurnal_depth outside [0,1)");
   }
-  if (c.burstiness < 0.0 || c.burstiness >= 1.0) {
+  if (!(0.0 <= c.burstiness && c.burstiness < 1.0)) {
     throw std::invalid_argument("synthetic: burstiness outside [0,1)");
   }
   if (c.burstiness > 0.0 && c.burst_window == 0) {

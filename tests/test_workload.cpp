@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "trace/trace_stats.h"
 #include "util/stats.h"
@@ -93,6 +94,47 @@ TEST(Synthetic, RejectsBadConfig) {
   c = {};
   c.diurnal_depth = 1.0;
   EXPECT_THROW(generate_workload(c), std::invalid_argument);
+}
+
+/// Every real-valued knob rejects NaN (which slips past `x < 0`-style
+/// checks) and values outside its documented range.
+TEST(Synthetic, RejectsNanAndOutOfRangeKnobs) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejects = [](auto mutate) {
+    SyntheticWorkloadConfig c;
+    c.request_count = 10;
+    mutate(c);
+    EXPECT_THROW((void)generate_fileset(c), std::invalid_argument);
+    EXPECT_THROW(SyntheticSource{c}, std::invalid_argument);
+  };
+  rejects([&](auto& c) { c.zipf_alpha = nan; });
+  rejects([&](auto& c) { c.zipf_alpha = inf; });
+  rejects([&](auto& c) { c.diurnal_depth = nan; });
+  rejects([&](auto& c) { c.diurnal_depth = -0.1; });
+  rejects([&](auto& c) { c.burstiness = nan; });
+  rejects([&](auto& c) { c.size_popularity_anticorrelation = 1.5; });
+  rejects([&](auto& c) { c.size_popularity_anticorrelation = -0.5; });
+  rejects([&](auto& c) { c.size_popularity_anticorrelation = nan; });
+  rejects([&](auto& c) { c.mean_interarrival = Seconds{nan}; });
+  rejects([&](auto& c) { c.mean_interarrival = Seconds{inf}; });
+  rejects([&](auto& c) { c.load_factor = nan; });
+  rejects([&](auto& c) { c.load_factor = inf; });
+  rejects([&](auto& c) { c.size_log_mu = nan; });
+  rejects([&](auto& c) { c.size_log_sigma = nan; });
+  rejects([&](auto& c) { c.size_log_sigma = -1.0; });
+}
+
+TEST(Synthetic, AcceptsRangeEndpoints) {
+  SyntheticWorkloadConfig c;
+  c.file_count = 50;
+  c.request_count = 100;
+  c.zipf_alpha = 0.0;
+  c.size_log_sigma = 0.0;
+  for (const double strength : {0.0, 1.0}) {
+    c.size_popularity_anticorrelation = strength;
+    EXPECT_EQ(generate_workload(c).trace.size(), 100u);
+  }
 }
 
 SyntheticWorkloadConfig small_config() {

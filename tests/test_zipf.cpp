@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 namespace pr {
@@ -14,6 +18,12 @@ namespace {
 TEST(Zipf, RejectsBadArguments) {
   EXPECT_THROW(ZipfDistribution(0, 0.8), std::invalid_argument);
   EXPECT_THROW(ZipfDistribution(10, -0.1), std::invalid_argument);
+  EXPECT_THROW(ZipfDistribution(std::size_t{1} << 32, 0.8),
+               std::invalid_argument);  // ranks no longer fit the guide
+  EXPECT_THROW(ZipfDistribution(10, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(
+      ZipfDistribution(10, std::numeric_limits<double>::infinity()),
+      std::invalid_argument);
 }
 
 TEST(Zipf, PmfSumsToOne) {
@@ -108,6 +118,66 @@ TEST_P(ZipfSamplingFidelity, EmpiricalMatchesPmf) {
 
 INSTANTIATE_TEST_SUITE_P(AlphaSweep, ZipfSamplingFidelity,
                          ::testing::Values(0.0, 0.2, 0.5, 0.8, 1.0));
+
+/// Differential check of the guide-table lookup: for every (n, α) the
+/// rank must equal the full-range lower_bound over cumulative() — the
+/// plain inverse CDF — on a million random draws through sample() and on
+/// every edge uniform: each bucket edge j/K and the double just below it,
+/// each cumulative weight and the double just below it, 0 and 1 − 2⁻⁵³.
+class ZipfGuideExactness
+    : public ::testing::TestWithParam<std::tuple<std::size_t, double>> {};
+
+TEST_P(ZipfGuideExactness, MatchesFullRangeSearch) {
+  const auto [n, alpha] = GetParam();
+  const ZipfDistribution z(n, alpha);
+  std::vector<double> cdf(n);
+  for (std::size_t i = 0; i < n; ++i) cdf[i] = z.cumulative(i + 1);
+  const auto reference = [&cdf](double u) {
+    return static_cast<std::size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+  };
+
+  std::size_t mismatches = 0;
+  double first_bad = -1.0;
+  const auto expect_rank = [&](double u, std::size_t rank) {
+    if (rank != reference(u) && mismatches++ == 0) first_bad = u;
+  };
+
+  Rng guided(2026);
+  Rng plain(2026);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::size_t rank = z.sample(guided);
+    expect_rank(plain.uniform(), rank);
+  }
+
+  const auto edge = [&](double u) {
+    if (0.0 <= u && u < 1.0) expect_rank(u, z.rank_at(u));
+  };
+  const std::size_t buckets = std::bit_ceil(2 * n);
+  for (std::size_t j = 0; j < buckets; ++j) {
+    const double u = static_cast<double>(j) / static_cast<double>(buckets);
+    edge(u);
+    edge(u - 0x1.0p-53);
+  }
+  for (const double c : cdf) {
+    edge(c);
+    edge(std::nextafter(c, 0.0));
+  }
+  edge(1.0 - 0x1.0p-53);
+
+  EXPECT_EQ(mismatches, 0u) << "n=" << n << " alpha=" << alpha
+                            << " first mismatch at u=" << std::hexfloat
+                            << first_bad;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizeByAlpha, ZipfGuideExactness,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{3}, std::size_t{400},
+                                         std::size_t{4079},
+                                         std::size_t{40'000},
+                                         std::size_t{100'000}),
+                       ::testing::Values(0.0, 0.3, 0.8, 1.0, 2.5)));
 
 /// The paper's motivating skew property: with α near 1, a small fraction
 /// of ranks captures most of the probability mass.
