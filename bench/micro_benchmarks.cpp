@@ -5,6 +5,7 @@
 // impractical.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <charconv>
 #include <ostream>
 #include <sstream>
@@ -184,7 +185,8 @@ BENCHMARK(BM_OnlineReadSimulation)->Arg(10'000)->Arg(100'000);
 
 // Parse + frame throughput of the bounded-memory CSV reader, excluding
 // simulation: the floor any streaming run pays per request over the
-// materialized path.
+// materialized path. Drains through next_batch in the simulator's unit of
+// pull (kRequestBatch in sim/array_sim.cpp), as a streamed run does.
 void BM_StreamingIngest(benchmark::State& state) {
   SyntheticWorkloadConfig cfg;
   cfg.file_count = 1'000;
@@ -196,8 +198,10 @@ void BM_StreamingIngest(benchmark::State& state) {
   for (auto _ : state) {
     std::istringstream in(bytes);
     CsvStreamSource source(in, "bench.csv");
-    Request r;
-    while (source.next(r)) benchmark::DoNotOptimize(r);
+    std::array<Request, 256> batch;
+    while (source.next_batch(batch.data(), batch.size()) > 0) {
+      benchmark::DoNotOptimize(batch);
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));

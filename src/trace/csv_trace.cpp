@@ -5,7 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/csv.h"
+#include "trace/stream_reader.h"
 #include "util/fmt.h"
 
 namespace pr {
@@ -59,29 +59,16 @@ Trace read_csv_trace(std::istream& in) {
   std::size_t line_no = 1;
   while (std::getline(in, line)) {
     ++line_no;
-    if (line.empty() || line == "\r") continue;
-    const auto fields = split_csv_line(line);
-    if (fields.size() != 4) {
-      throw std::runtime_error("read_csv_trace: line " +
-                               std::to_string(line_no) + ": expected 4 fields");
-    }
+    // The same framing as CsvStreamSource: one trailing CR is part of the
+    // line terminator, and blank lines are separators.
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
     Request r;
     try {
-      r.arrival = Seconds{parse_double(fields[0])};
-      r.file = static_cast<FileId>(std::stoul(fields[1]));
-      r.size = static_cast<Bytes>(std::stoull(fields[2]));
-    } catch (const std::exception&) {
+      r = parse_csv_row(line);
+    } catch (const std::invalid_argument& e) {
       throw std::runtime_error("read_csv_trace: line " +
-                               std::to_string(line_no) + ": parse error");
-    }
-    if (fields[3] == "R") {
-      r.kind = RequestKind::kRead;
-    } else if (fields[3] == "W") {
-      r.kind = RequestKind::kWrite;
-    } else {
-      throw std::runtime_error("read_csv_trace: line " +
-                               std::to_string(line_no) + ": bad op '" +
-                               fields[3] + "'");
+                               std::to_string(line_no) + ": " + e.what());
     }
     if (!trace.requests.empty() && r.arrival < trace.requests.back().arrival) {
       throw std::runtime_error("read_csv_trace: line " +

@@ -21,7 +21,9 @@ void write_csv_trace_file(const Trace& trace, const std::string& path);
 
 /// Parse a CSV trace. Requires the canonical header; rows must be sorted by
 /// time (throws std::runtime_error otherwise, since the simulator assumes
-/// ordered arrivals).
+/// ordered arrivals). Rows go through parse_csv_row (stream_reader.h), the
+/// parser CsvStreamSource uses, so both readers accept the same rows; only
+/// this reader also accepts a final row without a trailing newline.
 [[nodiscard]] Trace read_csv_trace(std::istream& in);
 [[nodiscard]] Trace read_csv_trace_file(const std::string& path);
 

@@ -1,8 +1,9 @@
 #include "trace/stream_reader.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
+#include <cfloat>
+#include <cstdint>
+#include <iterator>
 #include <locale>
 #include <ostream>
 #include <stdexcept>
@@ -20,20 +21,118 @@ constexpr const char* kCsvHeader = "time_s,file_id,bytes,op";
 /// Refill granularity; the effective chunk shrinks near the buffer bound.
 constexpr std::size_t kReadChunk = 64 * 1024;
 
-/// Fast-path field scanners: the same accept-set as util/parse.h
-/// (from_chars over the full token, finite doubles) minus the throwing
-/// diagnostics — a false return routes the line to the slow path.
-bool scan_double(std::string_view field, double& value) {
-  const char* last = field.data() + field.size();
-  const auto [ptr, ec] = std::from_chars(field.data(), last, value);
-  return ec == std::errc{} && ptr == last && !field.empty() &&
-         std::isfinite(value);
+// The fast path's arrival is one IEEE division of two exact doubles; that
+// is only correctly rounded when the division is evaluated in double
+// precision and not rewritten as a multiplication by a reciprocal.
+static_assert(FLT_EVAL_METHOD == 0,
+              "the CSV fast path needs double-precision evaluation");
+#ifdef __FAST_MATH__
+#error "the CSV fast path's exact arrival division breaks under -ffast-math"
+#endif
+
+/// 10^k for k <= 22: every entry is an exact double (5^22 < 2^53).
+constexpr double kExactPow10[] = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+/// Largest mantissa whose conversion to double is exact.
+constexpr std::uint64_t kMaxExactMantissa = std::uint64_t{1} << 53;
+/// Longest digit run that cannot wrap a u64 (10^19 - 1 < 2^64).
+constexpr std::ptrdiff_t kMaxDigits = 19;
+
+/// Append the decimal digit run starting at `p` to `value`; returns the
+/// first non-digit. Past kMaxDigits the value wraps (unsigned, so defined),
+/// and every caller rejects such runs by their length.
+const char* accumulate_digits(const char* p, const char* end,
+                              std::uint64_t& value) {
+  for (; p != end; ++p) {
+    const unsigned digit = static_cast<unsigned char>(*p) - unsigned{'0'};
+    if (digit > 9) break;
+    value = value * 10 + digit;
+  }
+  return p;
 }
 
-bool scan_u64(std::string_view field, std::uint64_t& value) {
-  const char* last = field.data() + field.size();
-  const auto [ptr, ec] = std::from_chars(field.data(), last, value);
-  return ec == std::errc{} && ptr == last && !field.empty();
+/// Scan `<digits>,` (1..kMaxDigits digits) at `p`; returns the position
+/// after the comma, or nullptr.
+const char* scan_integer_field(const char* p, const char* end,
+                               std::uint64_t& value) {
+  const char* const stop = accumulate_digits(p, end, value);
+  if (stop == p || stop - p > kMaxDigits || stop == end || *stop != ',') {
+    return nullptr;
+  }
+  return stop + 1;
+}
+
+/// The fast path: one forward pass over the canonical row shape (see
+/// stream_reader.h). Returns false, leaving `out` untouched, for any row it
+/// cannot convert exactly; the caller then takes the strict slow path.
+bool scan_csv_row(std::string_view row, Request& out) {
+  const char* p = row.data();
+  const char* const end = p + row.size();
+
+  // Arrival: every significant digit into m, k = fraction digits.
+  const char* const first = p;
+  while (p != end && *p == '0') ++p;  // leading zeros carry no value
+  std::uint64_t m = 0;
+  const char* significant = p;
+  p = accumulate_digits(p, end, m);
+  if (p == first) return false;
+  std::ptrdiff_t digits = p - significant;
+  std::ptrdiff_t k = 0;
+  if (p != end && *p == '.') {
+    const char* const fraction = ++p;
+    if (digits == 0) {
+      while (p != end && *p == '0') ++p;
+    }
+    significant = p;
+    p = accumulate_digits(p, end, m);
+    k = p - fraction;
+    digits += p - significant;
+    if (k == 0) return false;
+  }
+  if (digits > kMaxDigits || k >= std::ssize(kExactPow10) ||
+      m > kMaxExactMantissa || p == end || *p != ',') {
+    return false;
+  }
+
+  std::uint64_t file = 0;
+  std::uint64_t bytes = 0;
+  p = scan_integer_field(p + 1, end, file);
+  if (p == nullptr || file >= kInvalidFile) return false;
+  p = scan_integer_field(p, end, bytes);
+  if (p == nullptr || end - p != 1 || (*p != 'R' && *p != 'W')) return false;
+
+  out.arrival = Seconds{static_cast<double>(m) / kExactPow10[k]};
+  out.file = static_cast<FileId>(file);
+  out.size = bytes;
+  out.kind = *p == 'R' ? RequestKind::kRead : RequestKind::kWrite;
+  return true;
+}
+
+/// The slow path: any row shape split_csv_line understands, parsed by the
+/// strict full-token parsers. Kept out of line so the fast path stays small.
+[[gnu::noinline]] Request parse_csv_row_strict(std::string_view row) {
+  const auto fields = split_csv_line(row);
+  if (fields.size() != 4) {
+    throw std::invalid_argument(
+        "expected 4 fields (time_s,file_id,bytes,op), got " +
+        std::to_string(fields.size()));
+  }
+  Request r;
+  r.arrival = Seconds{parse_double(fields[0], "time_s")};
+  const std::uint64_t file = parse_u64(fields[1], "file_id");
+  r.size = parse_u64(fields[2], "bytes");
+  if (file >= kInvalidFile) throw std::invalid_argument("file_id out of range");
+  r.file = static_cast<FileId>(file);
+  if (fields[3] == "R") {
+    r.kind = RequestKind::kRead;
+  } else if (fields[3] == "W") {
+    r.kind = RequestKind::kWrite;
+  } else {
+    throw std::invalid_argument("bad op '" + fields[3] +
+                                "', expected R or W");
+  }
+  return r;
 }
 
 std::string_view trim_ws(std::string_view s) {
@@ -168,63 +267,19 @@ void CsvStreamSource::consume_header() {
   }
 }
 
+Request parse_csv_row(std::string_view row) {
+  Request r;
+  if (!scan_csv_row(row, r)) r = parse_csv_row_strict(row);
+  return r;
+}
+
 bool CsvStreamSource::parse_line(std::string_view line, Request& out) {
   if (line.empty()) return false;  // blank separator, same as the batch reader
-  // Single-pass fast path for the machine-written row shape
-  // `<number>,<digits>,<digits>,<R|W>` that csv_trace.h emits: three comma
-  // cuts and in-place from_chars, zero allocations. The scanners accept
-  // exactly what util/parse.h accepts (full token, finite, no sign/space
-  // slack), so any line the fast path takes parses identically; anything
-  // else — quoting, padding, malformed fields — falls through to the
-  // historical split-and-throw path, which owns the exact error messages.
-  const std::size_t c1 = line.find(',');
-  const std::size_t c2 =
-      c1 == std::string_view::npos ? c1 : line.find(',', c1 + 1);
-  const std::size_t c3 =
-      c2 == std::string_view::npos ? c2 : line.find(',', c2 + 1);
-  if (c3 != std::string_view::npos &&
-      line.find(',', c3 + 1) == std::string_view::npos &&
-      line.find('"') == std::string_view::npos) {
-    const std::string_view op = line.substr(c3 + 1);
-    double arrival = 0.0;
-    std::uint64_t file = 0;
-    std::uint64_t bytes = 0;
-    if ((op == "R" || op == "W") && scan_double(line.substr(0, c1), arrival) &&
-        scan_u64(line.substr(c1 + 1, c2 - c1 - 1), file) &&
-        scan_u64(line.substr(c2 + 1, c3 - c2 - 1), bytes) &&
-        file < kInvalidFile) {
-      Request r;
-      r.arrival = Seconds{arrival};
-      r.file = static_cast<FileId>(file);
-      r.size = bytes;
-      r.kind = op == "R" ? RequestKind::kRead : RequestKind::kWrite;
-      check_sorted(r.arrival);
-      out = r;
-      return true;
-    }
-  }
-  const auto fields = split_csv_line(line);
-  if (fields.size() != 4) {
-    fail("expected 4 fields (time_s,file_id,bytes,op), got " +
-         std::to_string(fields.size()));
-  }
   Request r;
-  std::uint64_t file = 0;
   try {
-    r.arrival = Seconds{pr::parse_double(fields[0], "time_s")};
-    file = parse_u64(fields[1], "file_id");
-    r.size = parse_u64(fields[2], "bytes");
+    r = parse_csv_row(line);
   } catch (const std::invalid_argument& e) {
     fail(e.what());
-  }
-  if (file >= kInvalidFile) fail("file_id out of range");
-  r.file = static_cast<FileId>(file);
-  if (fields[3] == "R") {
-    r.kind = RequestKind::kRead;
-  } else if (fields[3] == "W") {
-    r.kind = RequestKind::kWrite;
-  } else {
-    fail("bad op '" + fields[3] + "', expected R or W");
   }
   check_sorted(r.arrival);
   out = r;

@@ -25,6 +25,30 @@
 //           any order. write_jsonl_trace emits it at full precision
 //           (format_double 17), so a JSONL round trip is byte-exact in the
 //           arrival doubles — unlike CSV's historical precision-9 rows.
+//
+// CSV rows: one parser, two speeds. parse_csv_row() is the only row parser
+// of the CSV format; CsvStreamSource and read_csv_trace (csv_trace.h) both
+// call it, so they accept the same rows and build the same Requests.
+//   * Fast path: one forward pass that accepts exactly the shape
+//     `<digits>[.<digits>],<digits>,<digits>,<R|W>` up to the end of the
+//     row — the shape write_csv_trace emits whenever `%.9g` prints the
+//     arrival without a sign or an exponent. Each integer field takes at
+//     most 19 digits (10^19 − 1 < 2^64, so accumulation cannot wrap), and
+//     the file id must stay below kInvalidFile.
+//   * Exactness (Clinger's fast path): the arrival's digits, leading zeros
+//     dropped, form an integer m with k fraction digits. When m has at
+//     most 19 digits, m ≤ 2^53 and k ≤ 22, both double(m) and 10^k are
+//     exact doubles (5^22 < 2^53), so double(m) / 10^k is one correctly
+//     rounded IEEE division of the exact value m / 10^k — bit-identical to
+//     std::from_chars. This needs double-precision evaluation with no
+//     reciprocal rewriting; stream_reader.cpp asserts FLT_EVAL_METHOD == 0
+//     and refuses to build under -ffast-math.
+//   * Fallback rule: any other shape or value — a sign, an exponent,
+//     quotes, padding, a missing fraction digit, more digits, a larger
+//     mantissa, more fraction digits, an out-of-range id, a malformed
+//     field — goes to the strict slow path: split_csv_line plus
+//     util/parse.h's full-token, finite-only parse_double/parse_u64. The
+//     slow path is the only place that builds error messages.
 #pragma once
 
 #include <cstddef>
@@ -105,6 +129,12 @@ class LineStreamSource : public RequestSource {
   bool have_last_ = false;
   Seconds last_arrival_{0.0};
 };
+
+/// Parse one data row of the csv_trace.h format (line terminator already
+/// stripped) — the row parser both CSV readers share (see the header
+/// comment). Throws std::invalid_argument with a bare message; each reader
+/// adds its own source/line context. Arrival order is the caller's check.
+[[nodiscard]] Request parse_csv_row(std::string_view row);
 
 /// Streaming reader for the csv_trace.h interchange format. The header is
 /// consumed (and validated) at construction, so a malformed file fails at

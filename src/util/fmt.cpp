@@ -4,7 +4,6 @@
 #include <bit>
 #include <charconv>
 #include <cstdint>
-#include <stdexcept>
 #include <system_error>
 
 #include "util/contracts.h"
@@ -163,16 +162,6 @@ std::string format_double(double v, int precision) {
   std::string out;
   append_double(out, v, precision);
   return out;
-}
-
-double parse_double(std::string_view text) {
-  double v = 0.0;
-  const auto res = std::from_chars(text.data(), text.data() + text.size(), v);
-  if (res.ec != std::errc{} || res.ptr != text.data() + text.size()) {
-    throw std::invalid_argument("parse_double: bad float '" +
-                                std::string(text) + "'");
-  }
-  return v;
 }
 
 }  // namespace pr

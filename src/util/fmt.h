@@ -19,7 +19,6 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 
 namespace pr {
 
@@ -31,10 +30,5 @@ namespace pr {
 /// Append form of format_double for string-building emitters; it
 /// allocates nothing beyond `out`'s own growth.
 void append_double(std::string& out, double v, int precision = 17);
-
-/// Locale-independent counterpart of std::stod (which honours the global C
-/// locale's decimal point). The whole of `text` must parse; throws
-/// std::invalid_argument otherwise.
-[[nodiscard]] double parse_double(std::string_view text);
 
 }  // namespace pr

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <span>
 #include <sstream>
+#include <string>
 
 #include "trace/csv_trace.h"
 #include "trace/trace_stats.h"
@@ -81,6 +82,56 @@ TEST(CsvTrace, RejectsBadOp) {
 TEST(CsvTrace, RejectsWrongFieldCount) {
   std::istringstream in("time_s,file_id,bytes,op\n0,0,1\n");
   EXPECT_THROW(read_csv_trace(in), std::runtime_error);
+}
+
+/// Expect read_csv_trace to reject `row` (after a canonical header) with a
+/// std::runtime_error naming line 2. The streaming reader shares the row
+/// parser, so these rows were always rejected there.
+void expect_row_rejected(const std::string& row) {
+  std::istringstream in("time_s,file_id,bytes,op\n" + row + "\n");
+  try {
+    (void)read_csv_trace(in);
+    ADD_FAILURE() << "accepted '" << row << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CsvTrace, RejectsFileIdAboveU32InsteadOfWrapping) {
+  expect_row_rejected("0.5,4294967296,100,R");
+}
+
+TEST(CsvTrace, RejectsNegativeFileId) {
+  expect_row_rejected("0.5,-1,100,R");
+}
+
+TEST(CsvTrace, RejectsTrailingGarbageInFileId) {
+  expect_row_rejected("0.5,12abc,100,R");
+}
+
+TEST(CsvTrace, RejectsFractionalFileId) {
+  expect_row_rejected("0.5,3.9,100,R");
+}
+
+TEST(CsvTrace, RejectsNegativeSize) {
+  expect_row_rejected("0.5,7,-3,R");
+}
+
+TEST(CsvTrace, RejectsNanArrival) {
+  expect_row_rejected("nan,7,1,R");
+}
+
+TEST(CsvTrace, RejectsInfiniteArrival) {
+  expect_row_rejected("inf,7,1,R");
+}
+
+TEST(CsvTrace, AcceptsCrlfAndAMissingFinalNewline) {
+  std::istringstream in("time_s,file_id,bytes,op\r\n0.5,7,1,R\r\n\r\n1,8,2,W");
+  const Trace parsed = read_csv_trace(in);
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed.requests[1].file, 8u);
+  EXPECT_EQ(parsed.requests[1].kind, RequestKind::kWrite);
 }
 
 TEST(Wc98, RecordRoundTrip) {

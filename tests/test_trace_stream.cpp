@@ -4,8 +4,15 @@
 // the streaming path for READ/MAID/PDC.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -130,6 +137,208 @@ TEST(CsvStreamTest, SkipsBlankSeparatorLines) {
   const auto out = drain(source);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[1].kind, RequestKind::kWrite);
+}
+
+// ------------------------------------------- CSV row parser exactness
+
+/// What std::from_chars makes of a whole arrival token, when it accepts it
+/// as a finite double — the reference parse_csv_row must match bit for bit.
+std::optional<double> from_chars_arrival(std::string_view token) {
+  double value = 0.0;
+  const char* last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, value);
+  if (ec != std::errc{} || ptr != last || token.empty() ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// Read a one-row CSV through both readers. Returns the row's request, or
+/// nullopt when both reject it (a reader that disagrees fails the test).
+std::optional<Request> read_one_row(const std::string& row) {
+  const std::string text = "time_s,file_id,bytes,op\n" + row + "\n";
+  std::optional<Request> streamed;
+  try {
+    std::istringstream in(text);
+    CsvStreamSource source(in, "edge.csv");
+    Request r;
+    if (source.next(r)) streamed = r;
+  } catch (const std::invalid_argument&) {
+  }
+  std::optional<Request> batch;
+  try {
+    std::istringstream in(text);
+    const Trace trace = read_csv_trace(in);
+    if (!trace.requests.empty()) batch = trace.requests.front();
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(streamed.has_value(), batch.has_value()) << row;
+  if (streamed && batch) expect_same_requests({*streamed}, {*batch});
+  return streamed;
+}
+
+TEST(CsvRowExactnessTest, EveryArrivalOfAWc98HeavyDayMatchesFromChars) {
+  SyntheticSource day(worldcup98_heavy_config(42));
+  std::ostringstream rendered;
+  write_csv_trace(day, rendered);
+  const std::string text = std::move(rendered).str();
+
+  std::istringstream in(text);
+  CsvStreamSource source(in, "wc98-heavy.csv");
+  std::size_t line_start = text.find('\n') + 1;  // past the header
+  std::size_t rows = 0;
+  std::size_t mismatches = 0;
+  Request r;
+  while (source.next(r)) {
+    const std::size_t comma = text.find(',', line_start);
+    const auto expected = from_chars_arrival(
+        std::string_view(text).substr(line_start, comma - line_start));
+    ASSERT_TRUE(expected.has_value()) << "row " << rows;
+    if (std::bit_cast<std::uint64_t>(r.arrival.value()) !=
+        std::bit_cast<std::uint64_t>(*expected)) {
+      ++mismatches;
+    }
+    line_start = text.find('\n', line_start) + 1;
+    ++rows;
+  }
+  EXPECT_EQ(line_start, text.size());
+  EXPECT_GT(rows, 1'000'000u);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// A finite double from one of four families: raw bit patterns (signs,
+/// exponents, subnormals: almost all take the slow path), day-scale
+/// arrivals, log-uniform magnitudes across the fixed-notation band, and
+/// short decimals m / 10^k right at the fast path's limits.
+double random_finite(std::uint64_t& state) {
+  const std::uint64_t bits = splitmix64(state);
+  const double unit = static_cast<double>(bits >> 11) * 0x1p-53;
+  switch (bits & 3U) {
+    case 0: {
+      double v = std::bit_cast<double>(splitmix64(state));
+      while (!std::isfinite(v)) v = std::bit_cast<double>(splitmix64(state));
+      return v;
+    }
+    case 1:
+      return unit * 86'400.0;
+    case 2:
+      return std::pow(10.0, -4.0 + 13.0 * unit);
+    default: {
+      const std::uint64_t m = splitmix64(state) >> (11 + (bits >> 60));
+      return static_cast<double>(m) / std::pow(10.0, (bits >> 2) % 23);
+    }
+  }
+}
+
+TEST(CsvRowExactnessTest, TenMillionRandomDoublesAtNineAndSeventeenDigits) {
+  constexpr std::size_t kValues = 10'000'000;
+  constexpr std::size_t kChunk = 500'000;  // rows must be sorted per file
+  std::uint64_t state = 0x5eedc5f0ULL;
+  std::vector<double> values;
+  std::vector<double> expected;
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  for (std::size_t done = 0; done < kValues; done += kChunk) {
+    values.clear();
+    while (values.size() < kChunk) values.push_back(random_finite(state));
+    // Rounding to fewer digits is monotone, so sorted values render as
+    // sorted rows at either precision.
+    std::sort(values.begin(), values.end());
+    for (const int precision : {9, 17}) {
+      std::string text = "time_s,file_id,bytes,op\n";
+      expected.clear();
+      for (const double v : values) {
+        char token[64];
+        const std::string_view rendered(
+            token, std::to_chars(token, token + sizeof token, v,
+                                 std::chars_format::general, precision)
+                       .ptr);
+        const auto value = from_chars_arrival(rendered);
+        ASSERT_TRUE(value.has_value()) << rendered;
+        expected.push_back(*value);
+        text += rendered;
+        text += ",1,1,R\n";
+      }
+      std::istringstream in(text);
+      CsvStreamSource source(in, "random.csv");
+      std::size_t i = 0;
+      Request r;
+      while (source.next(r)) {
+        ASSERT_LT(i, expected.size());
+        if (std::bit_cast<std::uint64_t>(r.arrival.value()) !=
+                std::bit_cast<std::uint64_t>(expected[i]) &&
+            mismatches++ == 0) {
+          first_mismatch = format_double(expected[i], precision);
+        }
+        ++i;
+      }
+      ASSERT_EQ(i, expected.size());
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
+}
+
+TEST(CsvRowExactnessTest, EdgeArrivalsMatchFromChars) {
+  const std::vector<std::string> tokens = {
+      // Mantissas 2^53 (exact) and 2^53 + 1 (double rounding if converted
+      // first: 90071992547409.93 is the first such decimal above 2^53).
+      "9007199254740992", "9007199254740993", "90071992547409.92",
+      "90071992547409.93", "0.9007199254740992", "0.9007199254740993",
+      // 22 fraction digits (10^22 exact) and 23 (it is not).
+      "0.0000000000000000000001", "0.0000000000000000000007",
+      "0.00000000000000000000001", "0.00000000000000000000007",
+      "0.1234567890123456789012", "1.0000000000000000000001",
+      // 19- and 20-digit integers.
+      "1234567890123456789", "9999999999999999999", "12345678901234567890",
+      "1234567890.123456789", "123456789.0123456789",
+      // Leading zeros.
+      "000123.4500", "0000", "0.000", "007", "00000000000000000000001.5",
+      "0.00000000000000000000000000001",
+      // Shapes only the slow path takes.
+      "1.", ".5", "-0", "-1.5", "+1", "1e3", "1E-3", "0x10", "inf", "nan",
+      "1e400", " 1", "1 ", "", "1..5", "1.5.", "--1"};
+  for (const std::string& token : tokens) {
+    const auto expected = from_chars_arrival(token);
+    const auto got = read_one_row(token + ",7,100,R");
+    ASSERT_EQ(got.has_value(), expected.has_value()) << "'" << token << "'";
+    if (got) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got->arrival.value()),
+                std::bit_cast<std::uint64_t>(*expected))
+          << "'" << token << "'";
+    }
+  }
+}
+
+TEST(CsvRowExactnessTest, EdgeFileIdsAndSizes) {
+  const auto largest = read_one_row("0.5,4294967294,1,R");
+  ASSERT_TRUE(largest.has_value());
+  EXPECT_EQ(largest->file, 4294967294U);
+  EXPECT_FALSE(read_one_row("0.5,4294967295,1,R").has_value());  // kInvalidFile
+  EXPECT_FALSE(read_one_row("0.5,99999999999999999999,1,R").has_value());
+
+  for (const std::uint64_t bytes :
+       {std::uint64_t{0}, std::uint64_t{9'999'999'999'999'999'999U},
+        std::uint64_t{10'000'000'000'000'000'000U},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    const auto row = read_one_row("0.5,3," + std::to_string(bytes) + ",W");
+    ASSERT_TRUE(row.has_value()) << bytes;
+    EXPECT_EQ(row->size, bytes);
+    EXPECT_EQ(row->kind, RequestKind::kWrite);
+  }
+  EXPECT_FALSE(read_one_row("0.5,3,18446744073709551616,R").has_value());
+  const auto padded =
+      read_one_row("0.5,0000000000000000000042,0000000000000000000001,R");
+  ASSERT_TRUE(padded.has_value());
+  EXPECT_EQ(padded->file, 42U);
+  EXPECT_EQ(padded->size, 1U);
 }
 
 // ------------------------------------------------------- JSONL round trip
