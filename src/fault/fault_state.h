@@ -1,9 +1,7 @@
-// fault_state.h — the live per-disk fault flags the ArraySimulation seam
-// consults before dispatch. The simulator owns one FaultState, applies
-// FaultPlan events to it in time order, and checks failed()/slowdown()
-// when routing; redundancy schemes (redundancy/scheme.h) see it through
-// ArrayContext::disk_failed() to pick live copies or surviving stripe
-// units.
+// fault_state.h — the live per-disk fault flags. The simulator owns one
+// FaultState and applies FaultPlan events to it in time order; serves read
+// slowdown(), and the request planner (sim/planner.h) and the redundancy
+// schemes (redundancy/scheme.h) take it explicitly to find failed disks.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +29,6 @@ class FaultState {
     slowdown_.assign(disk_count, 1.0);
     failed_count_ = 0;
   }
-
-  [[nodiscard]] std::size_t disk_count() const { return failed_.size(); }
 
   [[nodiscard]] bool failed(DiskId d) const {
     return d < failed_.size() && failed_[d] != 0;

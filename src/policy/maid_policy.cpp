@@ -77,23 +77,21 @@ void MaidPolicy::after_serve(ArrayContext& ctx, const Request& req,
   admit(ctx, req.file, req.size, served);
 }
 
-DegradedAction MaidPolicy::CacheScheme::degraded_read(
-    ArrayContext& ctx, FileId file, Bytes bytes, DiskId failed,
-    DiskId& redirect, std::vector<StripeChunk>& reads) {
-  (void)bytes;
-  (void)reads;
+bool MaidPolicy::CacheScheme::degraded_read(
+    ArrayContext& ctx, const FaultState& faults, FileId file, Bytes bytes,
+    DiskId failed, std::vector<StripeChunk>& serves) {
   // route() already chose: a failed cache disk on a hit, or the failed
   // home disk on a miss. Fall back to whichever copy is still live.
   DiskId alt = kInvalidDisk;
   const auto it = owner_->cache_index_.find(file);
   if (it != owner_->cache_index_.end() && it->second->disk != failed &&
-      !ctx.disk_failed(it->second->disk)) {
+      !faults.failed(it->second->disk)) {
     alt = it->second->disk;
   } else {
     const DiskId home = ctx.location(file);
-    if (home != failed && !ctx.disk_failed(home)) alt = home;
+    if (home != failed && !faults.failed(home)) alt = home;
   }
-  if (alt == kInvalidDisk) return DegradedAction::kLost;
+  if (alt == kInvalidDisk) return false;
   // The serve comes from an existing copy — suppress the after_serve
   // re-admission a miss would trigger. The handle is interned here, on
   // the first degraded read, not in initialize(): eager interning would
@@ -104,8 +102,8 @@ DegradedAction MaidPolicy::CacheScheme::degraded_read(
     owner_->h_degraded_interned_ = true;
   }
   ctx.bump(owner_->h_degraded_);
-  redirect = alt;
-  return DegradedAction::kRedirect;
+  serves.push_back(StripeChunk{alt, bytes});
+  return true;
 }
 
 void MaidPolicy::admit(ArrayContext& ctx, FileId file, Bytes bytes,

@@ -68,9 +68,9 @@ class MaidPolicy final : public Policy {
    public:
     explicit CacheScheme(MaidPolicy& owner) : owner_(&owner) {}
     [[nodiscard]] std::string name() const override { return "maid-cache"; }
-    [[nodiscard]] DegradedAction degraded_read(
-        ArrayContext& ctx, FileId file, Bytes bytes, DiskId failed,
-        DiskId& redirect, std::vector<StripeChunk>& reads) override;
+    [[nodiscard]] bool degraded_read(
+        ArrayContext& ctx, const FaultState& faults, FileId file, Bytes bytes,
+        DiskId failed, std::vector<StripeChunk>& serves) override;
 
    private:
     MaidPolicy* owner_;

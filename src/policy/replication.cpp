@@ -109,18 +109,16 @@ void ReplicatedReadPolicy::after_serve(ArrayContext& ctx, const Request& req,
   base_.after_serve(ctx, req, d);
 }
 
-DegradedAction ReplicatedReadPolicy::ReplicaScheme::degraded_read(
-    ArrayContext& ctx, FileId file, Bytes bytes, DiskId failed,
-    DiskId& redirect, std::vector<StripeChunk>& reads) {
-  (void)bytes;
-  (void)reads;
+bool ReplicatedReadPolicy::ReplicaScheme::degraded_read(
+    ArrayContext& ctx, const FaultState& faults, FileId file, Bytes bytes,
+    DiskId failed, std::vector<StripeChunk>& serves) {
   // Consider every copy — the primary plus replicas — skipping failed
   // disks; among the live ones pick the earliest-ready (the same
   // join-shortest-workload rule route() uses, lowest id on ties).
   DiskId best = kInvalidDisk;
   Seconds best_ready = kNeverTime;
   const auto consider = [&](DiskId d) {
-    if (d == failed || ctx.disk_failed(d)) return;
+    if (d == failed || faults.failed(d)) return;
     const Seconds ready = ctx.disk(d).ready_time();
     if (best == kInvalidDisk || ready < best_ready ||
         (ready == best_ready && d < best)) {
@@ -133,7 +131,7 @@ DegradedAction ReplicatedReadPolicy::ReplicaScheme::degraded_read(
   if (it != owner_->replicas_.end()) {
     for (const DiskId d : it->second) consider(d);
   }
-  if (best == kInvalidDisk) return DegradedAction::kLost;
+  if (best == kInvalidDisk) return false;
   // The handle is interned here, on the first degraded read, not in
   // initialize(): eager interning would add a zero-valued counter to
   // every fault-free report and break their byte-identity.
@@ -143,8 +141,8 @@ DegradedAction ReplicatedReadPolicy::ReplicaScheme::degraded_read(
     owner_->h_degraded_interned_ = true;
   }
   ctx.bump(owner_->h_degraded_);
-  redirect = best;
-  return DegradedAction::kRedirect;
+  serves.push_back(StripeChunk{best, bytes});
+  return true;
 }
 
 void ReplicatedReadPolicy::on_epoch(ArrayContext& ctx, Seconds now) {

@@ -53,9 +53,9 @@ class ReplicatedReadPolicy final : public Policy {
    public:
     explicit ReplicaScheme(ReplicatedReadPolicy& owner) : owner_(&owner) {}
     [[nodiscard]] std::string name() const override { return "replica-set"; }
-    [[nodiscard]] DegradedAction degraded_read(
-        ArrayContext& ctx, FileId file, Bytes bytes, DiskId failed,
-        DiskId& redirect, std::vector<StripeChunk>& reads) override;
+    [[nodiscard]] bool degraded_read(
+        ArrayContext& ctx, const FaultState& faults, FileId file, Bytes bytes,
+        DiskId failed, std::vector<StripeChunk>& serves) override;
 
    private:
     ReplicatedReadPolicy* owner_;

@@ -12,9 +12,12 @@
 // Files at or below one stripe unit land on a single disk (round-robin by
 // first unit), so on a pure web workload this degenerates to Static —
 // exactly the paper's point.
+//
+// RAID-0 keeps no redundant copy, so the policy leaves Policy::redundancy()
+// at nullptr: a chunk on a failed disk loses the whole request. Configure
+// SimConfig::redundancy with a parity kind to protect the stripes instead.
 #pragma once
 
-#include "redundancy/scheme.h"
 #include "sim/array_sim.h"
 
 namespace pr {
@@ -35,37 +38,13 @@ class StripedStaticPolicy final : public Policy {
   DiskId route(ArrayContext& ctx, const Request& req) override;
   std::vector<StripeChunk> stripe(ArrayContext& ctx,
                                   const Request& req) override;
-  /// RAID-0's honest answer on the redundancy seam: nothing protects the
-  /// stripes, so a degraded chunk loses the whole request — byte-identical
-  /// to the pre-seam behavior, but now stated as a scheme instance rather
-  /// than hard-coded in the simulator. Configure SimConfig::redundancy
-  /// with a parity kind to protect the stripes instead.
-  [[nodiscard]] RedundancyScheme* redundancy() override { return &scheme_; }
-
   /// Chunk decomposition used by stripe(); exposed for tests. `start`
   /// is the disk holding the file's first stripe unit.
   [[nodiscard]] static std::vector<StripeChunk> chunks_for(
       Bytes size, Bytes unit, DiskId start, std::size_t disk_count);
 
  private:
-  class Raid0Scheme final : public RedundancyScheme {
-   public:
-    [[nodiscard]] std::string name() const override { return "raid0"; }
-    [[nodiscard]] DegradedAction degraded_read(
-        ArrayContext& ctx, FileId file, Bytes bytes, DiskId failed,
-        DiskId& redirect, std::vector<StripeChunk>& reads) override {
-      (void)ctx;
-      (void)file;
-      (void)bytes;
-      (void)failed;
-      (void)redirect;
-      (void)reads;
-      return DegradedAction::kLost;
-    }
-  };
-
   StripingConfig config_;
-  Raid0Scheme scheme_;
 };
 
 }  // namespace pr

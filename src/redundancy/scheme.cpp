@@ -16,88 +16,71 @@ std::size_t resolve_group(std::size_t group, std::size_t disk_count) {
 
 }  // namespace
 
+// --- shared parity reads ------------------------------------------------
+
+ParityScheme::ParityScheme(std::size_t disk_count, std::size_t group)
+    : disks_(disk_count), group_(resolve_group(group, disk_count)) {}
+
+bool ParityScheme::degraded_read(ArrayContext& ctx, const FaultState& faults,
+                                 FileId file, Bytes bytes, DiskId failed,
+                                 std::vector<StripeChunk>& serves) {
+  (void)ctx;
+  for (std::size_t j = 0; j + 1 < group_; ++j) {
+    const DiskId p = partner(failed, file, j);
+    // A second failure among the partners makes the stripe unrecoverable.
+    if (faults.failed(p)) return false;
+    serves.push_back(StripeChunk{p, bytes});
+  }
+  return true;
+}
+
+void ParityScheme::rebuild_sources(const FaultState& faults, DiskId failed,
+                                   std::uint64_t step,
+                                   std::vector<DiskId>& sources) const {
+  for (std::size_t j = 0; j + 1 < group_; ++j) {
+    const DiskId p = partner(failed, step, j);
+    if (!faults.failed(p)) sources.push_back(p);
+  }
+}
+
 // --- RAID-5 ------------------------------------------------------------
 
 Raid5Scheme::Raid5Scheme(std::size_t disk_count, std::size_t group)
-    : disks_(disk_count), group_(resolve_group(group, disk_count)) {
+    : ParityScheme(disk_count, group) {
   // validate_redundancy() guards the factory path; direct construction
-  // must satisfy the same geometry, or degraded_read indexes past the
-  // array (group stride) and divides by a degenerate group.
+  // must satisfy the same geometry, or partner() indexes past the array
+  // (group stride) and divides by a degenerate group.
   PR_PRECONDITION(group_ >= 2 && group_ <= disks_,
                   "Raid5Scheme: group size must be in [2, disk_count]");
   PR_PRECONDITION(disks_ % group_ == 0,
                   "Raid5Scheme: group must divide the array evenly");
 }
 
-DegradedAction Raid5Scheme::degraded_read(ArrayContext& ctx, FileId file,
-                                          Bytes bytes, DiskId failed,
-                                          DiskId& redirect,
-                                          std::vector<StripeChunk>& reads) {
-  (void)file;
-  (void)redirect;
-  const std::size_t base = (failed / group_) * group_;
-  for (std::size_t j = 0; j < group_; ++j) {
-    const auto member = static_cast<DiskId>(base + j);
-    if (member == failed) continue;
-    // A second failure in the group means the stripe is unrecoverable.
-    if (ctx.disk_failed(member)) return DegradedAction::kLost;
-    reads.push_back(StripeChunk{member, bytes});
-  }
-  return reads.empty() ? DegradedAction::kLost : DegradedAction::kReconstruct;
-}
-
-void Raid5Scheme::rebuild_sources(const ArrayContext& ctx, DiskId failed,
-                                  std::uint64_t step,
-                                  std::vector<DiskId>& sources) const {
-  (void)step;
-  const std::size_t base = (failed / group_) * group_;
-  for (std::size_t j = 0; j < group_; ++j) {
-    const auto member = static_cast<DiskId>(base + j);
-    if (member == failed || ctx.disk_failed(member)) continue;
-    sources.push_back(member);
-  }
+DiskId Raid5Scheme::partner(DiskId failed, std::uint64_t salt,
+                            std::size_t j) const {
+  (void)salt;
+  // The j-th member of failed's group, skipping failed itself.
+  const std::size_t member = (failed / group_) * group_ + j;
+  return static_cast<DiskId>(member >= failed ? member + 1 : member);
 }
 
 // --- Declustered parity ------------------------------------------------
 
 DeclusteredScheme::DeclusteredScheme(std::size_t disk_count, std::size_t group)
-    : disks_(disk_count), group_(resolve_group(group, disk_count)) {
+    : ParityScheme(disk_count, group) {
   // partner() rotates over disks_ - 1 survivors: a group wider than the
   // array or a single-disk array makes that modulus degenerate.
   PR_PRECONDITION(group_ >= 2 && group_ <= disks_,
                   "DeclusteredScheme: group size must be in [2, disk_count]");
 }
 
-DiskId DeclusteredScheme::partner(DiskId d, std::uint64_t salt,
+DiskId DeclusteredScheme::partner(DiskId failed, std::uint64_t salt,
                                   std::size_t j) const {
+  // The salt rotates the partners: every file's parity partners (and every
+  // rebuild step's sources) are a different rotation, which is exactly the
+  // load-spreading property.
   const std::size_t offset = 1 + ((salt + j) % (disks_ - 1));
-  return static_cast<DiskId>((d + offset) % disks_);
-}
-
-DegradedAction DeclusteredScheme::degraded_read(
-    ArrayContext& ctx, FileId file, Bytes bytes, DiskId failed,
-    DiskId& redirect, std::vector<StripeChunk>& reads) {
-  (void)redirect;
-  // The file id is the stripe salt: every file's parity partners are a
-  // different rotation, which is exactly the load-spreading property.
-  for (std::size_t j = 0; j + 1 < group_; ++j) {
-    const DiskId p = partner(failed, file, j);
-    if (ctx.disk_failed(p)) return DegradedAction::kLost;
-    reads.push_back(StripeChunk{p, bytes});
-  }
-  return reads.empty() ? DegradedAction::kLost : DegradedAction::kReconstruct;
-}
-
-void DeclusteredScheme::rebuild_sources(const ArrayContext& ctx, DiskId failed,
-                                        std::uint64_t step,
-                                        std::vector<DiskId>& sources) const {
-  // Successive steps rebuild successive stripes, so the read load rotates
-  // over the surviving disks — the declustering win.
-  for (std::size_t j = 0; j + 1 < group_; ++j) {
-    const DiskId p = partner(failed, step, j);
-    if (ctx.disk_failed(p)) continue;
-    sources.push_back(p);
-  }
+  return static_cast<DiskId>((failed + offset) % disks_);
 }
 
 // --- validation & factory ----------------------------------------------

@@ -1,23 +1,23 @@
 // scheme.h — the redundancy seam.
 //
-// A RedundancyScheme answers one question for the simulator: when a
-// request's disk is held down by an injected fail-stop fault, how is the
-// data still served? Three answers exist, and they cover every protection
-// mechanism in the codebase:
+// A RedundancyScheme answers one question for the request planner
+// (sim/planner.h): when a chunk's disk is held down by an injected
+// fail-stop fault, which live reads replace it? The scheme appends the
+// replacement serves, or reports the data lost:
 //
-//   kRedirect    — a whole live copy exists somewhere (a replica set, the
-//                  MAID cache). The request moves to that disk. This is
-//                  what ReplicatedReadPolicy and MaidPolicy expose through
-//                  Policy::redundancy(); the counters and events are
-//                  byte-identical to the pre-seam degraded_route path.
-//   kReconstruct — no whole copy, but parity does: the scheme names the
-//                  surviving stripe-unit disks and the simulator issues a
-//                  real read on each of them (costed I/O, spin-ups and
-//                  all), completing when the slowest survivor finishes.
-//                  RAID-5 and declustered parity live here.
-//   kLost        — nothing can serve it (RAID-0, a second failure inside
-//                  the parity group). The simulator records the request
-//                  as lost exactly as it always has.
+//   a live copy    — a whole copy exists somewhere (a replica set, the MAID
+//                    cache): one read of the chunk on that disk, booked as
+//                    redirected. ReplicatedReadPolicy and MaidPolicy expose
+//                    these through Policy::redundancy().
+//   survivor reads — parity instead of a copy: one costed read of the
+//                    chunk on each of the g−1 surviving stripe units
+//                    (spin-ups and all), booked as reconstructed; the
+//                    request completes when the slowest survivor finishes.
+//                    RAID-5 and declustered parity (parity() is true).
+//
+// Everything else is a lost request: no scheme (RAID-0), a second failure
+// inside the parity group, or an answer naming a failed or nonexistent
+// disk.
 //
 // Parity schemes additionally drive the RebuildScheduler (rebuild.h): they
 // name the source disks for each rebuild step and decide which disk pairs
@@ -33,17 +33,11 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault_state.h"
 #include "redundancy/redundancy_config.h"
 #include "sim/array_sim.h"
 
 namespace pr {
-
-/// How a degraded read is satisfied (see file comment).
-enum class DegradedAction : std::uint8_t {
-  kLost = 0,
-  kRedirect = 1,
-  kReconstruct = 2,
-};
 
 class RedundancyScheme {
  public:
@@ -51,15 +45,13 @@ class RedundancyScheme {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// `failed` holds `bytes` of `file` and is out of service. Decide the
-  /// degraded action: fill `redirect` for kRedirect (a live disk with a
-  /// whole copy), or `reads` for kReconstruct (one costed read per
-  /// surviving stripe unit; reconstructing B bytes reads B from each of
-  /// the g−1 survivors). `reads` arrives empty. The simulator validates
-  /// the answer (live, in range) and books the counters/events itself.
-  [[nodiscard]] virtual DegradedAction degraded_read(
-      ArrayContext& ctx, FileId file, Bytes bytes, DiskId failed,
-      DiskId& redirect, std::vector<StripeChunk>& reads) = 0;
+  /// `failed` holds `bytes` of `file` and is out of service. Append the
+  /// serves that replace it: one live copy, or a read of `bytes` on each
+  /// of the g−1 surviving stripe units (per `faults`). Return false when
+  /// the data is lost. The planner validates the answer and books it.
+  [[nodiscard]] virtual bool degraded_read(
+      ArrayContext& ctx, const FaultState& faults, FileId file, Bytes bytes,
+      DiskId failed, std::vector<StripeChunk>& serves) = 0;
 
   /// True for parity organizations — enables the rebuild engine and the
   /// data-loss bookkeeping. Copy-based schemes (replicas, MAID) return
@@ -67,12 +59,12 @@ class RedundancyScheme {
   [[nodiscard]] virtual bool parity() const { return false; }
 
   /// Source disks for rebuild step `step` of `failed` (parity schemes
-  /// only). Append live disks to `sources`; already-failed members are
+  /// only). Append live disks to `sources`; members failed in `faults` are
   /// simply skipped — the rebuild proceeds on whatever survives.
-  virtual void rebuild_sources(const ArrayContext& ctx, DiskId failed,
+  virtual void rebuild_sources(const FaultState& faults, DiskId failed,
                                std::uint64_t step,
                                std::vector<DiskId>& sources) const {
-    (void)ctx;
+    (void)faults;
     (void)failed;
     (void)step;
     (void)sources;
@@ -88,31 +80,51 @@ class RedundancyScheme {
   }
 };
 
+/// The parity layouts' shared shape: a chunk on `failed` is rebuilt from
+/// its g−1 partner disks for a stripe salt — the file id for a degraded
+/// read, the step index for a rebuild step — so a degraded read and a
+/// rebuild step of the same salt read the same disks.
+class ParityScheme : public RedundancyScheme {
+ public:
+  [[nodiscard]] bool degraded_read(ArrayContext& ctx, const FaultState& faults,
+                                   FileId file, Bytes bytes, DiskId failed,
+                                   std::vector<StripeChunk>& serves) final;
+  [[nodiscard]] bool parity() const final { return true; }
+  void rebuild_sources(const FaultState& faults, DiskId failed,
+                       std::uint64_t step,
+                       std::vector<DiskId>& sources) const final;
+
+  [[nodiscard]] std::size_t group() const { return group_; }
+
+ protected:
+  /// `group` = 0 means the whole array.
+  ParityScheme(std::size_t disk_count, std::size_t group);
+
+  /// Partner j ∈ [0, g−1) of `failed` for stripe `salt`.
+  [[nodiscard]] virtual DiskId partner(DiskId failed, std::uint64_t salt,
+                                       std::size_t j) const = 0;
+
+  std::size_t disks_;
+  std::size_t group_;
+};
+
 /// RAID-5: rotated parity over fixed consecutive groups of `group` disks
 /// (disks [k·g, (k+1)·g)). One failure per group is survivable — a
-/// degraded read reconstructs from the g−1 surviving group members; a
-/// second failure in the same group is data loss.
-class Raid5Scheme final : public RedundancyScheme {
+/// degraded read reconstructs from the g−1 surviving group members (the
+/// partners, in disk order, whatever the salt); a second failure in the
+/// same group is data loss.
+class Raid5Scheme final : public ParityScheme {
  public:
   Raid5Scheme(std::size_t disk_count, std::size_t group);
 
   [[nodiscard]] std::string name() const override { return "raid5"; }
-  [[nodiscard]] DegradedAction degraded_read(
-      ArrayContext& ctx, FileId file, Bytes bytes, DiskId failed,
-      DiskId& redirect, std::vector<StripeChunk>& reads) override;
-  [[nodiscard]] bool parity() const override { return true; }
-  void rebuild_sources(const ArrayContext& ctx, DiskId failed,
-                       std::uint64_t step,
-                       std::vector<DiskId>& sources) const override;
   [[nodiscard]] bool loses_data(DiskId a, DiskId b) const override {
     return a / group_ == b / group_;
   }
 
-  [[nodiscard]] std::size_t group() const { return group_; }
-
  private:
-  std::size_t disks_;
-  std::size_t group_;
+  [[nodiscard]] DiskId partner(DiskId failed, std::uint64_t salt,
+                               std::size_t j) const override;
 };
 
 /// Declustered parity: each stripe's g−1 partner units are spread over
@@ -123,31 +135,18 @@ class Raid5Scheme final : public RedundancyScheme {
 /// concurrent failures share some stripe, so every overlapping pair is
 /// data loss (the classic declustering trade-off — faster rebuild,
 /// larger loss exposure).
-class DeclusteredScheme final : public RedundancyScheme {
+class DeclusteredScheme final : public ParityScheme {
  public:
   DeclusteredScheme(std::size_t disk_count, std::size_t group);
 
   [[nodiscard]] std::string name() const override { return "declustered"; }
-  [[nodiscard]] DegradedAction degraded_read(
-      ArrayContext& ctx, FileId file, Bytes bytes, DiskId failed,
-      DiskId& redirect, std::vector<StripeChunk>& reads) override;
-  [[nodiscard]] bool parity() const override { return true; }
-  void rebuild_sources(const ArrayContext& ctx, DiskId failed,
-                       std::uint64_t step,
-                       std::vector<DiskId>& sources) const override;
   [[nodiscard]] bool loses_data(DiskId a, DiskId b) const override {
     return a != b;
   }
 
-  [[nodiscard]] std::size_t group() const { return group_; }
-
  private:
-  /// Partner j for (disk, salt); see class comment.
-  [[nodiscard]] DiskId partner(DiskId d, std::uint64_t salt,
-                               std::size_t j) const;
-
-  std::size_t disks_;
-  std::size_t group_;
+  [[nodiscard]] DiskId partner(DiskId failed, std::uint64_t salt,
+                               std::size_t j) const override;
 };
 
 /// Throw std::invalid_argument unless `config` is satisfiable on

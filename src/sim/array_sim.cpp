@@ -8,6 +8,7 @@
 #include "control/control_loop.h"
 #include "redundancy/rebuild.h"
 #include "redundancy/scheme.h"
+#include "sim/planner.h"
 #include "util/contracts.h"
 #include "util/log.h"
 
@@ -19,7 +20,6 @@ ArrayContext::ArrayContext(const SimConfig& config, const FileSet& files)
     throw std::invalid_argument("ArrayContext: disk_count == 0");
   }
   idle_timer_.resize(config.disk_count);
-  fault_.resize(config.disk_count);
   h_policy_transitions_ = counters_.intern("sim.policy_transitions");
   soa_ = std::make_unique<DiskArraySoA>(config.disk_count);
   disks_.reserve(config.disk_count);
@@ -195,7 +195,8 @@ class ArraySimulator {
         h_spin_vetoed_(ctx_.counters_.intern("sim.spin_downs_vetoed")),
         h_spin_ups_(ctx_.counters_.intern("sim.spin_ups_to_serve")) {
     ctx_.observer_ = observer;
-    if (faults != nullptr) plan_ = faults->events();
+    faults_.resize(config.disk_count);
+    if (faults != nullptr) fault_events_ = faults->events();
     // Redundancy seam resolution: a parity scheme configured on the array
     // wins; otherwise the policy may expose its own copy set (replicas,
     // the MAID cache) as a scheme; otherwise degraded requests are lost.
@@ -217,7 +218,7 @@ class ArraySimulator {
     // can make them fire. Nothing else asks whether a subsystem is on: an
     // empty plan, an idle rebuild scheduler and an all-live FaultState
     // never produce an event.
-    if (!plan_.empty()) {
+    if (!fault_events_.empty()) {
       h_faults_ = ctx_.counters_.intern("sim.faults_injected");
       h_recovers_ = ctx_.counters_.intern("sim.fault_recoveries");
       h_slowdowns_ = ctx_.counters_.intern("sim.fault_slowdowns");
@@ -225,7 +226,7 @@ class ArraySimulator {
       h_redirected_ = ctx_.counters_.intern("sim.requests_degraded");
       h_slowed_ = ctx_.counters_.intern("sim.requests_slowed");
     }
-    if (!plan_.empty() && parity) {
+    if (!fault_events_.empty() && parity) {
       h_reconstructed_ = ctx_.counters_.intern("sim.requests_reconstructed");
       h_data_loss_ = ctx_.counters_.intern("redundancy.data_loss_events");
       if (config.redundancy.rebuild) {
@@ -278,6 +279,9 @@ class ArraySimulator {
     // are transport/caching details — the per-request event interleaving
     // is unchanged, which the seed-layout and degraded-path goldens pin.
     std::array<Request, kRequestBatch> batch;
+    // The policy's chunks for the in-flight request; the plan swaps its
+    // buffer back, so both stay allocated across requests.
+    std::vector<StripeChunk> chunks;
     for (std::size_t filled = 0;
          (filled = source_.next_batch(batch.data(), batch.size())) > 0;) {
     for (std::size_t bi = 0; bi < filled; ++bi) {
@@ -313,36 +317,35 @@ class ArraySimulator {
 
       // One dispatch path: a non-striped route() is a one-chunk stripe.
       if (policy_.striped()) {
-        chunks_ = policy_.stripe(ctx_, req);
-        if (chunks_.empty()) {
-          throw std::logic_error("striped policy produced no chunks");
-        }
+        chunks = policy_.stripe(ctx_, req);
       } else {
-        chunks_.assign(1, StripeChunk{policy_.route(ctx_, req), req.size});
+        chunks.assign(1, StripeChunk{policy_.route(ctx_, req), req.size});
       }
-      DiskId primary = chunks_.front().disk;
-      // Admission precedes fault handling: a shed request consumes no
-      // degraded-read planning and no service. The primary chunk's disk
-      // stands in for the stripe's backlog.
-      if (control_on_ && !admit(req, primary)) continue;
-      const std::vector<StripeChunk>* const serves =
-          plan_degraded(req, primary);
-      if (serves == nullptr) {
+      plan_request(ctx_, faults_, scheme_, req, std::move(chunks), plan_);
+      // Admission precedes booking: a shed request is neither lost nor
+      // served. The request's disk stands in for the stripe's backlog.
+      if (control_on_ && !admit(req, plan_.primary)) continue;
+      if (plan_.lost) {
         // No live copy: the request is recorded, not served — no response
         // time sample, no completion event, no after_serve (the epoch
         // popularity bump above stands: demand existed even if unmet).
         ctx_.counters_.add(h_lost_);
         if (obs != nullptr) {
           obs->on_request_degraded(RequestDegradedEvent{
-              req.arrival, req.file, primary, primary,
+              req.arrival, req.file, plan_.primary, plan_.primary,
               DegradedOutcome::kLost, 1.0});
         }
         continue;
       }
+      // Degraded chunks are booked before any serve, so their events
+      // precede the request's spin-up transitions.
+      for (const DegradedChunk& chunk : plan_.degraded) {
+        book_degraded(req, chunk);
+      }
       // All chunks start in parallel; the request completes when the
       // slowest disk finishes its piece.
       Seconds completion{0.0};
-      for (const auto& chunk : *serves) {
+      for (const StripeChunk& chunk : plan_.serves) {
         completion = std::max(
             completion, serve_on(chunk.disk, req.arrival, chunk.bytes, req.file));
       }
@@ -350,7 +353,7 @@ class ArraySimulator {
         ctx_.counters_.add(h_slowed_);
         if (obs != nullptr) {
           obs->on_request_degraded(RequestDegradedEvent{
-              req.arrival, req.file, primary, primary,
+              req.arrival, req.file, plan_.primary, plan_.primary,
               DegradedOutcome::kSlowed, request_slowdown_});
         }
       }
@@ -371,20 +374,21 @@ class ArraySimulator {
         pending_.arrival = req.arrival;
         pending_.completion = completion;
         pending_.file = req.file;
-        pending_.disk = primary;
+        pending_.disk = plan_.primary;
         pending_.bytes = req.size;
-        pending_.stripe_chunks = static_cast<std::uint32_t>(serves->size());
+        pending_.stripe_chunks =
+            static_cast<std::uint32_t>(plan_.serves.size());
         obs->on_request_complete(pending_);
       }
 
       // after_serve may add background I/O (MAID cache fills); the idle
       // checks are armed afterwards so they see the disks' true ready
       // times.
-      policy_.after_serve(ctx_, req, primary);
-      for (const DiskId d : touched_) {
-        ctx_.schedule_idle_check(d, ctx_.disks_[d].ready_time());
+      policy_.after_serve(ctx_, req, plan_.primary);
+      for (const StripeChunk& chunk : plan_.serves) {
+        ctx_.schedule_idle_check(chunk.disk,
+                                 ctx_.disks_[chunk.disk].ready_time());
       }
-      touched_.clear();
     }
     }
 
@@ -401,24 +405,9 @@ class ArraySimulator {
   }
 
  private:
-  /// A degraded chunk, planned in the first pass and booked (counter +
-  /// events) only if the whole request survives.
-  struct PlannedDegrade {
-    DegradedOutcome outcome = DegradedOutcome::kLost;
-    DiskId intended = kInvalidDisk;
-    DiskId served_by = kInvalidDisk;
-    /// Reconstruction fan-out (kReconstructed only).
-    std::uint32_t sources = 0;
-    Bytes bytes = 0;
-  };
-
-  /// Serve `bytes` of `file` on disk `d` at `arrival`, applying
-  /// spin-up-to-serve, and remember the disk for idle-check arming.
-  /// Returns completion.
+  /// Serve `bytes` of `file` on disk `d` (validated by the planner) at
+  /// `arrival`, applying spin-up-to-serve. Returns completion.
   Seconds serve_on(DiskId d, Seconds arrival, Bytes bytes, FileId file) {
-    if (d >= ctx_.disks_.size()) {
-      throw std::logic_error("policy routed to nonexistent disk");
-    }
     Disk& disk = ctx_.disks_[d];
     SimObserver* const obs = ctx_.observer_;
     // Ledger snapshots so the request event carries exact per-operation
@@ -452,7 +441,7 @@ class ArraySimulator {
     // even in positional mode — degraded media, not head travel). The
     // chaser sits inside the observer snapshot, so the request's energy
     // and service-time deltas include it.
-    const double factor = ctx_.fault_.slowdown(d);
+    const double factor = faults_.slowdown(d);
     if (factor > 1.0) {
       const auto extra =
           static_cast<Bytes>((factor - 1.0) * static_cast<double>(bytes));
@@ -466,95 +455,23 @@ class ArraySimulator {
       pending_.service_time += disk.ledger().busy_time - busy_before;
       pending_.energy += disk.ledger().energy - energy_before;
     }
-    touched_.push_back(d);
     return completion;
   }
 
-  /// Plan a request against the live fault state: each chunk on a failed
-  /// disk consults the redundancy seam. Without a scheme (or with RAID-0)
-  /// any failure loses the whole request; a copy-set scheme redirects the
-  /// chunk to a live copy; parity replaces it with costed reads on its
-  /// surviving stripe units. The plan (plan_serves_) is built first and
-  /// its degraded chunks are booked (counters, events) only if every chunk
-  /// survives. Returns the serve list — chunks_ itself when no chunk sits
-  /// on a failed disk — or nullptr when the request is lost. A redirected
-  /// first chunk makes the redirect target the request's disk (`primary`).
-  /// With no disk failed (every fault-free request) the test is one
-  /// comparison.
-  const std::vector<StripeChunk>* plan_degraded(const Request& req,
-                                                DiskId& primary) {
-    if (ctx_.fault_.failed_count() == 0 ||
-        std::none_of(chunks_.begin(), chunks_.end(),
-                     [this](const StripeChunk& c) {
-                       return ctx_.fault_.failed(c.disk);
-                     })) {
-      return &chunks_;
-    }
-    plan_serves_.clear();
-    planned_degrades_.clear();
-    DiskId served_primary = primary;
-    for (const auto& chunk : chunks_) {
-      if (!ctx_.fault_.failed(chunk.disk)) {
-        plan_serves_.push_back(chunk);
-        continue;
-      }
-      scratch_reads_.clear();
-      DiskId redirect = kInvalidDisk;
-      const DegradedAction action =
-          scheme_ == nullptr
-              ? DegradedAction::kLost
-              : scheme_->degraded_read(ctx_, req.file, chunk.bytes, chunk.disk,
-                                       redirect, scratch_reads_);
-      if (action == DegradedAction::kRedirect && redirect != kInvalidDisk &&
-          redirect < ctx_.disks_.size() && !ctx_.fault_.failed(redirect)) {
-        if (&chunk == &chunks_.front()) served_primary = redirect;
-        plan_serves_.push_back(StripeChunk{redirect, chunk.bytes});
-        planned_degrades_.push_back(PlannedDegrade{
-            DegradedOutcome::kRedirected, chunk.disk, redirect, 0,
-            chunk.bytes});
-      } else if (action == DegradedAction::kReconstruct &&
-                 !scratch_reads_.empty()) {
-        PR_ASSERT(scheme_->parity(),
-                  "kReconstruct from a non-parity redundancy scheme");
-        planned_degrades_.push_back(PlannedDegrade{
-            DegradedOutcome::kReconstructed, chunk.disk, chunk.disk,
-            static_cast<std::uint32_t>(scratch_reads_.size()), chunk.bytes});
-        plan_serves_.insert(plan_serves_.end(), scratch_reads_.begin(),
-                            scratch_reads_.end());
-      } else {
-        return nullptr;
-      }
-    }
-    for (const auto& pd : planned_degrades_) {
-      emit_planned_degrade(req.arrival, req.file, pd);
-    }
-    primary = served_primary;
-    return &plan_serves_;
-  }
-
-  /// Book one surviving request's planned degraded chunk: the counters and
-  /// events deferred from the planning pass, emitted before any serve so
-  /// the degraded events precede the request's spin-up transitions.
-  void emit_planned_degrade(Seconds arrival, FileId file,
-                            const PlannedDegrade& pd) {
+  /// Book one recovered chunk of a surviving request: its counter and
+  /// degraded events (a reconstruction also announces its fan-out).
+  void book_degraded(const Request& req, const DegradedChunk& chunk) {
+    const bool redirected = chunk.outcome == DegradedOutcome::kRedirected;
+    ctx_.counters_.add(redirected ? h_redirected_ : h_reconstructed_);
     SimObserver* const obs = ctx_.observer_;
-    if (pd.outcome == DegradedOutcome::kRedirected) {
-      ctx_.counters_.add(h_redirected_);
-      if (obs != nullptr) {
-        obs->on_request_degraded(RequestDegradedEvent{
-            arrival, file, pd.intended, pd.served_by,
-            DegradedOutcome::kRedirected, 1.0});
-      }
-      return;
-    }
-    ctx_.counters_.add(h_reconstructed_);
-    if (obs != nullptr) {
+    if (obs == nullptr) return;
+    if (!redirected) {
       obs->on_stripe_reconstruct(StripeReconstructEvent{
-          arrival, file, pd.intended, pd.sources, pd.bytes});
-      obs->on_request_degraded(RequestDegradedEvent{
-          arrival, file, pd.intended, pd.intended,
-          DegradedOutcome::kReconstructed, 1.0});
+          req.arrival, req.file, chunk.failed, chunk.sources, chunk.bytes});
     }
+    obs->on_request_degraded(
+        RequestDegradedEvent{req.arrival, req.file, chunk.failed,
+                             chunk.served_by, chunk.outcome, 1.0});
   }
 
   /// Parity bookkeeping at a fail-stop instant: count the failure as a
@@ -564,7 +481,7 @@ class ArraySimulator {
   /// placed on the disk.
   void on_parity_failure(Seconds at, DiskId disk) {
     for (DiskId other = 0; other < ctx_.disks_.size(); ++other) {
-      if (other == disk || !ctx_.fault_.failed(other)) continue;
+      if (other == disk || !faults_.failed(other)) continue;
       if (scheme_->loses_data(disk, other)) {
         ctx_.counters_.add(h_data_loss_);
         break;
@@ -603,7 +520,7 @@ class ArraySimulator {
   void run_rebuild_step(const RebuildScheduler::Step& step) {
     const Seconds at = step.time;
     scratch_sources_.clear();
-    scheme_->rebuild_sources(ctx_, step.disk, step.index, scratch_sources_);
+    scheme_->rebuild_sources(faults_, step.disk, step.index, scratch_sources_);
     SimObserver* const obs = ctx_.observer_;
     // Ledger energy of every disk the step touches (rebuilt disk first).
     const auto step_energy = [&] {
@@ -635,7 +552,7 @@ class ArraySimulator {
   /// the matching counter) only when it actually changed something —
   /// idempotent events stay invisible.
   void apply_fault(const FaultEvent& e) {
-    const FaultState::ApplyResult applied = ctx_.fault_.apply(e);
+    const FaultState::ApplyResult applied = faults_.apply(e);
     if (!applied.changed) return;
     SimObserver* const obs = ctx_.observer_;
     switch (e.kind) {
@@ -686,8 +603,9 @@ class ArraySimulator {
   /// producer with nothing pending reports kNeverTime, so a subsystem that
   /// is not in use never wins and never costs more than this comparison.
   [[nodiscard]] Deferred next_deferred() const {
-    Deferred next{fault_cursor_ < plan_.size() ? plan_[fault_cursor_].time
-                                               : kNeverTime,
+    Deferred next{fault_cursor_ < fault_events_.size()
+                      ? fault_events_[fault_cursor_].time
+                      : kNeverTime,
                   Source::kFault};
     if (const Seconds r = rebuild_.next_time(); r < next.time) {
       next = {r, Source::kRebuild};
@@ -718,7 +636,7 @@ class ArraySimulator {
          next = next_deferred()) {
       switch (next.source) {
         case Source::kFault: {
-          const FaultEvent& event = plan_[fault_cursor_++];
+          const FaultEvent& event = fault_events_[fault_cursor_++];
           fire_epochs_until(next.time);
           apply_fault(event);
           break;
@@ -824,7 +742,7 @@ class ArraySimulator {
     ctx_.now_ = t;
   }
 
-  /// Control-mode admission at dispatch: measure the routed disk's FCFS
+  /// Control-mode admission at dispatch: measure the request's disk's FCFS
   /// backlog (how long the request would wait before service begins),
   /// fold it into the epoch window, and — when an admission window is
   /// configured — shed the request instead of queueing it unboundedly.
@@ -980,8 +898,11 @@ class ArraySimulator {
   ArrayContext ctx_;
   /// The attached fault plan's events (empty on a fault-free run) and the
   /// index of the next unapplied one.
-  std::span<const FaultEvent> plan_;
+  std::span<const FaultEvent> fault_events_;
   std::size_t fault_cursor_ = 0;
+  /// Live per-disk fault flags; all disks stay live and nominal on a
+  /// fault-free run.
+  FaultState faults_;
   /// Resolved redundancy seam: the config-owned parity scheme (wins) or
   /// the policy's copy-set scheme; nullptr = degraded requests are lost.
   std::unique_ptr<RedundancyScheme> owned_scheme_;
@@ -989,12 +910,9 @@ class ArraySimulator {
   /// Paced rebuilds in flight; configured only for a parity scheme with
   /// the engine on, and idle (kNeverTime) until a fail-stop starts one.
   RebuildScheduler rebuild_;
-  /// Per-request / per-step scratch (cleared before each use). chunks_
-  /// holds the request's stripe (one chunk for a non-striped policy).
-  std::vector<StripeChunk> chunks_;
-  std::vector<StripeChunk> scratch_reads_;
-  std::vector<StripeChunk> plan_serves_;
-  std::vector<PlannedDegrade> planned_degrades_;
+  /// The in-flight request's plan, reused across requests.
+  RequestPlan plan_;
+  /// Rebuild-step scratch (cleared before each use).
   std::vector<DiskId> scratch_sources_;
   /// Whether the in-flight request hit an injected slowdown (and the worst
   /// factor across its chunks); drives the kSlowed emission.
@@ -1015,9 +933,6 @@ class ArraySimulator {
   Seconds next_epoch_{0.0};
   std::uint64_t epoch_index_ = 0;
   SimResult result_;
-  /// Disks served during the current request (usually one; several for
-  /// striped requests), pending idle-check arming.
-  std::vector<DiskId> touched_;
   /// Accumulator for the in-flight request's observer event (backlog,
   /// service-time and energy deltas across its chunks); only maintained
   /// while an observer is attached.

@@ -10,9 +10,11 @@
 // whether a proposed spin-down is allowed.
 //
 // Determinism: arrivals are replayed in trace order; every request goes
-// through one plan-then-book dispatch path (a non-striped route() is a
-// one-chunk stripe); policies receive callbacks at well-defined points
-// only. Deferred events come from three producers — the fault plan's
+// through one plan-then-book dispatch path — the request planner
+// (sim/planner.h) turns the policy's chunks into a plan against the live
+// fault state (a non-striped route() is a one-chunk stripe), and the
+// simulator admits, books and serves that plan. Policies receive callbacks
+// at well-defined points only. Deferred events come from three producers — the fault plan's
 // cursor, the rebuild scheduler and the per-disk idle-timer heap (FIFO
 // among equal deadlines) — merged by one function in a fixed order. At one
 // instant τ: epoch boundaries <= τ, then fault events, then rebuild steps,
@@ -30,7 +32,6 @@
 #include "disk/disk.h"
 #include "disk/telemetry.h"
 #include "fault/fault_plan.h"
-#include "fault/fault_state.h"
 #include "obs/counter_registry.h"
 #include "obs/observer.h"
 #include "redundancy/redundancy_config.h"
@@ -111,10 +112,6 @@ class ArrayContext {
   [[nodiscard]] std::uint64_t epoch_requests() const {
     return epoch_requests_;
   }
-  /// True when an injected fail-stop fault currently holds `d` out of
-  /// service (always false when no FaultPlan is attached). Redundancy
-  /// schemes use this to pick live copies / surviving stripe units.
-  [[nodiscard]] bool disk_failed(DiskId d) const { return fault_.failed(d); }
 
   // --- placement & data movement --------------------------------------
   /// Initial placement (no I/O cost); each file must be placed exactly
@@ -204,9 +201,6 @@ class ArrayContext {
   CounterRegistry counters_;
   /// Pre-interned handle for request_transition's hot-path bump.
   CounterRegistry::Handle h_policy_transitions_ = 0;
-  /// Live per-disk fault flags; all disks stay live and nominal on a
-  /// fault-free run.
-  FaultState fault_;
   /// Attached observer (nullptr = detached; every emission point guards on
   /// this, which is the whole zero-cost story).
   SimObserver* observer_ = nullptr;
@@ -296,9 +290,9 @@ class Policy {
   }
 
   /// The redundancy scheme backing this policy's own copy set (replica
-  /// sets, the MAID cache) — the simulator consults it when route() lands
-  /// on a failed disk and SimConfig::redundancy is kNone (a configured
-  /// parity scheme takes precedence). Return nullptr (the default) when
+  /// sets, the MAID cache) — the planner consults it when a chunk lands on
+  /// a failed disk and SimConfig::redundancy is kNone (a configured parity
+  /// scheme takes precedence). Return nullptr (the default) when
   /// the policy maintains no redundant copies: degraded requests are then
   /// recorded as lost (RequestDegradedEvent kLost, excluded from
   /// response-time stats). Only consulted while a FaultPlan with events

@@ -1,11 +1,16 @@
-// Isolated tests of the simulator's one dispatch planner: serve a single
-// request and assert on which disks booked work (ledger.requests for user
-// reads, internal_ops for background I/O). Every policy goes through the
-// same plan-then-book path — a non-striped route() is a one-chunk stripe —
-// so these pin the routing, redirect, loss and reconstruction outcomes
-// independently of any workload.
+// Tests of the request planner. The PlanRequest.* cases call plan_request
+// directly on a bare ArrayContext plus FaultState — no simulation runs —
+// and assert the plan's values: which disks are read, exactly once, with
+// which byte counts, and that no other disk is touched. The Planner.*
+// cases serve a single request through run_simulation and assert on which
+// disks booked work (ledger.requests for user reads, internal_ops for
+// background I/O): every policy goes through the same plan-then-book path
+// — a non-striped route() is a one-chunk stripe — so these pin the
+// routing, redirect, loss and reconstruction outcomes independently of any
+// workload.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,7 +18,9 @@
 #include "policy/maid_policy.h"
 #include "policy/static_policy.h"
 #include "policy/striping.h"
+#include "redundancy/scheme.h"
 #include "sim/array_sim.h"
+#include "sim/planner.h"
 
 namespace pr {
 namespace {
@@ -86,6 +93,166 @@ class DispatchProbe final : public Policy {
  private:
   Policy& inner_;
 };
+
+// ------------------------------------------------ plan_request, directly
+
+/// Answers every degraded read with a fixed list of disks, each carrying
+/// the chunk's bytes; parity() decides redirected vs reconstructed.
+class ScriptedScheme final : public RedundancyScheme {
+ public:
+  ScriptedScheme(std::vector<DiskId> answer, bool parity)
+      : answer_(std::move(answer)), parity_(parity) {}
+  [[nodiscard]] std::string name() const override { return "scripted"; }
+  [[nodiscard]] bool degraded_read(ArrayContext&, const FaultState&, FileId,
+                                   Bytes bytes, DiskId,
+                                   std::vector<StripeChunk>& serves) override {
+    for (const DiskId d : answer_) serves.push_back(StripeChunk{d, bytes});
+    return true;
+  }
+  [[nodiscard]] bool parity() const override { return parity_; }
+
+ private:
+  std::vector<DiskId> answer_;
+  bool parity_;
+};
+
+/// A bare array of `disks` disks and its fault flags, with `failed` down.
+struct Bench {
+  Bench(std::size_t disks, std::initializer_list<DiskId> failed)
+      : sc(config(disks)), files(files_of({256 * kKiB})), ctx(sc, files) {
+    faults.resize(disks);
+    for (const DiskId d : failed) {
+      faults.apply(FaultEvent{Seconds{0.0}, d, FaultKind::kFail, 1.0});
+    }
+  }
+  RequestPlan plan(RedundancyScheme* scheme,
+                   std::vector<StripeChunk> chunks) {
+    RequestPlan p;
+    plan_request(ctx, faults, scheme, Request{Seconds{1.0}, 0, 256 * kKiB},
+                 std::move(chunks), p);
+    return p;
+  }
+
+  SimConfig sc;
+  FileSet files;
+  ArrayContext ctx;
+  FaultState faults;
+};
+
+using Reads = std::vector<std::pair<DiskId, Bytes>>;
+
+/// A plan's serves as (disk, bytes) pairs, in serve order.
+Reads reads(const std::vector<StripeChunk>& serves) {
+  Reads out;
+  for (const StripeChunk& c : serves) out.emplace_back(c.disk, c.bytes);
+  return out;
+}
+
+TEST(PlanRequest, FaultFreeOneChunkPlanIsTheChunk) {
+  Bench bench(4, {});
+  const RequestPlan p = bench.plan(nullptr, {{2, 64 * kKiB}});
+  EXPECT_FALSE(p.lost);
+  EXPECT_EQ(p.primary, 2u);
+  EXPECT_EQ(reads(p.serves), (Reads{{2, 64 * kKiB}}));
+  EXPECT_TRUE(p.degraded.empty());
+}
+
+TEST(PlanRequest, RedirectedFirstChunkMakesTheLiveCopyPrimary) {
+  Bench bench(4, {1});
+  ScriptedScheme copy({3}, /*parity=*/false);
+  const RequestPlan p = bench.plan(&copy, {{1, 64 * kKiB}, {2, 32 * kKiB}});
+  EXPECT_FALSE(p.lost);
+  EXPECT_EQ(p.primary, 3u);
+  EXPECT_EQ(reads(p.serves), (Reads{{3, 64 * kKiB}, {2, 32 * kKiB}}));
+  ASSERT_EQ(p.degraded.size(), 1u);
+  EXPECT_EQ(p.degraded[0].outcome, DegradedOutcome::kRedirected);
+  EXPECT_EQ(p.degraded[0].failed, 1u);
+  EXPECT_EQ(p.degraded[0].served_by, 3u);
+  EXPECT_EQ(p.degraded[0].sources, 0u);
+  EXPECT_EQ(p.degraded[0].bytes, 64 * kKiB);
+}
+
+TEST(PlanRequest, Raid5ReconstructReadsEachGroupSurvivorOnce) {
+  Bench bench(8, {2});
+  Raid5Scheme raid5(8, 4);
+  const RequestPlan p = bench.plan(&raid5, {{2, 48 * kKiB}});
+  EXPECT_FALSE(p.lost);
+  EXPECT_EQ(p.primary, 2u);  // the failed disk the survivors stand for
+  // Each survivor of group {0, 1, 2, 3} exactly once, with the chunk's
+  // bytes; no disk of the other group, and not the failed disk.
+  EXPECT_EQ(reads(p.serves),
+            (Reads{{0, 48 * kKiB}, {1, 48 * kKiB}, {3, 48 * kKiB}}));
+  ASSERT_EQ(p.degraded.size(), 1u);
+  EXPECT_EQ(p.degraded[0].outcome, DegradedOutcome::kReconstructed);
+  EXPECT_EQ(p.degraded[0].failed, 2u);
+  EXPECT_EQ(p.degraded[0].served_by, 2u);
+  EXPECT_EQ(p.degraded[0].sources, 3u);
+  EXPECT_EQ(p.degraded[0].bytes, 48 * kKiB);
+}
+
+TEST(PlanRequest, LostChunkLeavesNothingToBook) {
+  // RAID-5 groups {0..3} and {4..7}. Chunk 1 (disk 4) reconstructs from
+  // {5, 6, 7}; chunk 3 (disk 2) shares its group with failed disk 3.
+  Bench bench(8, {4, 2, 3});
+  Raid5Scheme raid5(8, 4);
+  const RequestPlan p = bench.plan(
+      &raid5, {{0, 64 * kKiB}, {4, 64 * kKiB}, {1, 64 * kKiB}, {2, 64 * kKiB}});
+  EXPECT_TRUE(p.lost);
+  EXPECT_EQ(p.primary, 0u);
+  EXPECT_TRUE(p.serves.empty());
+  EXPECT_TRUE(p.degraded.empty());
+}
+
+TEST(PlanRequest, SchemeAnswerNamingAFailedOrMissingDiskIsLost) {
+  Bench bench(4, {1, 2});
+  for (const bool parity : {false, true}) {
+    ScriptedScheme on_failed({0, 2}, parity);
+    ScriptedScheme out_of_range({0, 4}, parity);
+    ScriptedScheme nothing({}, parity);
+    for (RedundancyScheme* scheme :
+         {static_cast<RedundancyScheme*>(&on_failed),
+          static_cast<RedundancyScheme*>(&out_of_range),
+          static_cast<RedundancyScheme*>(&nothing)}) {
+      const RequestPlan p = bench.plan(scheme, {{1, 64 * kKiB}});
+      EXPECT_TRUE(p.lost) << "parity " << parity;
+      EXPECT_EQ(p.primary, 1u);
+      EXPECT_TRUE(p.serves.empty());
+      EXPECT_TRUE(p.degraded.empty());
+    }
+  }
+  EXPECT_TRUE(bench.plan(nullptr, {{1, 64 * kKiB}}).lost);
+}
+
+TEST(PlanRequest, RejectsEmptyStripesAndMissingDisks) {
+  Bench bench(4, {});
+  EXPECT_THROW((void)bench.plan(nullptr, {}), std::logic_error);
+  EXPECT_THROW((void)bench.plan(nullptr, {{4, 64 * kKiB}}), std::logic_error);
+  // Validated before any degraded planning: a later bad chunk throws even
+  // when an earlier one is already lost.
+  Bench faulted(4, {0});
+  EXPECT_THROW((void)faulted.plan(nullptr, {{0, 1}, {9, 1}}),
+               std::logic_error);
+}
+
+TEST(PlanRequest, ReusedPlanIsResetBetweenRequests) {
+  Bench bench(8, {2});
+  Raid5Scheme raid5(8, 4);
+  RequestPlan p;
+  const Request req{Seconds{1.0}, 0, 64 * kKiB};
+  const std::vector<StripeChunk> degraded{{2, 64 * kKiB}};
+  const std::vector<StripeChunk> healthy{{5, 64 * kKiB}};
+  plan_request(bench.ctx, bench.faults, &raid5, req,
+               std::vector<StripeChunk>(degraded), p);
+  ASSERT_EQ(p.serves.size(), 3u);
+  plan_request(bench.ctx, bench.faults, &raid5, req,
+               std::vector<StripeChunk>(healthy), p);
+  EXPECT_FALSE(p.lost);
+  EXPECT_EQ(p.primary, 5u);
+  EXPECT_EQ(reads(p.serves), reads(healthy));
+  EXPECT_TRUE(p.degraded.empty());
+}
+
+// ------------------------------------------- one request, through the sim
 
 TEST(Planner, NonStripedPolicyTouchesExactlyOneDisk) {
   const FileSet files = files_of({64 * kKiB, 64 * kKiB, 64 * kKiB});

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -23,6 +24,7 @@
 #include "exp/scenario_report.h"
 #include "fault/degradation_analyzer.h"
 #include "fault/fault_plan.h"
+#include "fault/fault_state.h"
 #include "obs/jsonl_writer.h"
 #include "press/mttdl_agreement.h"
 #include "redundancy/rebuild.h"
@@ -188,6 +190,113 @@ TEST(RedundancyScheme, LossPredicatesMatchTheLayouts) {
   EXPECT_TRUE(declustered.loses_data(0, 7));
   EXPECT_TRUE(declustered.loses_data(3, 4));
   EXPECT_FALSE(declustered.loses_data(2, 2));
+}
+
+// ------------------------------------------------- exhaustive layout sweep
+
+void fail(FaultState& faults, DiskId d) {
+  faults.apply(FaultEvent{Seconds{0.0}, d, FaultKind::kFail, 1.0});
+}
+
+/// The disks of a serve list, in serve order.
+std::vector<DiskId> disks_of(const std::vector<StripeChunk>& serves) {
+  std::vector<DiskId> out;
+  for (const StripeChunk& c : serves) out.push_back(c.disk);
+  return out;
+}
+
+// Every parity geometry up to 12 disks (RAID-5 with each group size that
+// divides n, declustered with each group size in [2, n]), every failed
+// disk, every second failure and a run of stripe salts — checked through
+// the seam the planner uses, degraded_read and rebuild_sources.
+TEST(ParityLayout, ExhaustiveDegradedReadsAndRebuildSources) {
+  constexpr Bytes kBytes = 4096;
+  for (std::size_t n = 2; n <= 12; ++n) {
+    SimConfig sc;
+    sc.disk_params = two_speed_cheetah();
+    sc.disk_count = n;
+    const FileSet files = two_files();
+    ArrayContext ctx(sc, files);
+    // Two windows of n−1 consecutive salts, so a window may start anywhere
+    // in the rotation.
+    const FileId salts = static_cast<FileId>(2 * (n - 1));
+    for (std::size_t g = 2; g <= n; ++g) {
+      std::vector<std::unique_ptr<ParityScheme>> layouts;
+      if (n % g == 0) layouts.push_back(std::make_unique<Raid5Scheme>(n, g));
+      layouts.push_back(std::make_unique<DeclusteredScheme>(n, g));
+      for (const auto& layout : layouts) {
+        const bool raid5 = layout->name() == "raid5";
+        for (DiskId f = 0; f < n; ++f) {
+          const std::string where = layout->name() + " n=" +
+                                    std::to_string(n) + " g=" +
+                                    std::to_string(g) + " failed=" +
+                                    std::to_string(f);
+          FaultState one;
+          one.resize(n);
+          fail(one, f);
+          std::vector<std::vector<DiskId>> partners(salts);
+          for (FileId salt = 0; salt < salts; ++salt) {
+            std::vector<StripeChunk> serves;
+            ASSERT_TRUE(layout->degraded_read(ctx, one, salt, kBytes, f,
+                                              serves))
+                << where;
+            // g−1 distinct live disks, each reading the chunk's bytes.
+            ASSERT_EQ(serves.size(), g - 1) << where;
+            std::vector<int> seen(n, 0);
+            for (const StripeChunk& c : serves) {
+              ASSERT_LT(c.disk, n) << where;
+              EXPECT_NE(c.disk, f) << where;
+              EXPECT_EQ(c.bytes, kBytes) << where;
+              EXPECT_EQ(++seen[c.disk], 1) << where << " disk " << c.disk;
+              if (raid5) {
+                EXPECT_EQ(c.disk / g, f / g) << where;  // inside f's group
+              }
+            }
+            partners[salt] = disks_of(serves);
+            std::vector<DiskId> sources;
+            layout->rebuild_sources(one, f, salt, sources);
+            EXPECT_EQ(sources, partners[salt]) << where << " salt " << salt;
+
+            for (DiskId x = 0; x < n; ++x) {
+              if (x == f) continue;
+              FaultState two = one;
+              fail(two, x);
+              const bool in_partners = seen[x] != 0;
+              std::vector<StripeChunk> degraded;
+              EXPECT_EQ(layout->degraded_read(ctx, two, salt, kBytes, f,
+                                              degraded),
+                        !in_partners)
+                  << where << " second=" << x << " salt " << salt;
+              if (in_partners) {
+                EXPECT_TRUE(layout->loses_data(f, x)) << where;
+              }
+              std::vector<DiskId> expected;
+              for (const DiskId p : partners[salt]) {
+                if (p != x) expected.push_back(p);
+              }
+              sources.clear();
+              layout->rebuild_sources(two, f, salt, sources);
+              EXPECT_EQ(sources, expected)
+                  << where << " second=" << x << " salt " << salt;
+            }
+          }
+          if (raid5) continue;
+          // Declustering: any n−1 consecutive salts load every survivor
+          // equally, g−1 reads each.
+          for (FileId start = 0; start + (n - 1) <= salts; ++start) {
+            std::vector<std::size_t> load(n, 0);
+            for (FileId salt = start; salt < start + (n - 1); ++salt) {
+              for (const DiskId p : partners[salt]) ++load[p];
+            }
+            for (DiskId d = 0; d < n; ++d) {
+              EXPECT_EQ(load[d], d == f ? 0 : g - 1)
+                  << where << " window " << start << " disk " << d;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- RebuildScheduler

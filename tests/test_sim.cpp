@@ -290,6 +290,29 @@ TEST(ArraySim, RejectsRouteToBadDisk) {
   const auto trace = trace_of({{0.0, 0}});
   EXPECT_THROW((void)run_simulation(config(2), files, trace, policy),
                std::logic_error);
+
+  // Control-mode admission reads the routed disk's backlog, so the route
+  // is validated before admission, not at serve time.
+  SimConfig controlled = config(2);
+  controlled.control.enabled = true;
+  controlled.control.admit_window_s = 1.0;
+  EXPECT_THROW((void)run_simulation(controlled, files, trace, policy),
+               std::logic_error);
+
+  // A striped policy with one out-of-range chunk among valid ones.
+  class BadStriper : public BadRouter {
+   public:
+    bool striped() const override { return true; }
+    std::vector<StripeChunk> stripe(ArrayContext&,
+                                    const Request& req) override {
+      return {StripeChunk{0, req.size / 2},
+              StripeChunk{2, req.size - req.size / 2}};
+    }
+  } striper;
+  EXPECT_THROW((void)run_simulation(config(2), files, trace, striper),
+               std::logic_error);
+  EXPECT_THROW((void)run_simulation(controlled, files, trace, striper),
+               std::logic_error);
 }
 
 
