@@ -163,10 +163,9 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (flag == "--positioned") opt.positioned = true;
     else if (flag == "--detail") opt.detail = true;
     else if (flag == "--config") opt.config_file = next();
-    else if (flag == "--threads")
-      opt.threads = static_cast<unsigned>(parse_u64(next(), flag));
+    else if (flag == "--threads") opt.threads = parse_u32(next(), flag);
     else if (flag == "--fleet-threads")
-      opt.fleet_threads = static_cast<unsigned>(parse_u64(next(), flag));
+      opt.fleet_threads = parse_u32(next(), flag);
     else if (flag == "--csv") opt.csv_path = next();
     else if (flag == "--json") opt.json_path = next();
     else if (flag == "--help" || flag == "-h") return false;

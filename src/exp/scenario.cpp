@@ -207,7 +207,7 @@ ScenarioSpec parse_scenario(std::string_view text, std::string_view source) {
         if (key == "name") {
           spec.name = value;
         } else if (key == "threads") {
-          spec.threads = static_cast<unsigned>(parse_u64(value, key));
+          spec.threads = parse_u32(value, key);
         } else if (key == "seeds" || key == "seed") {
           spec.seeds = parse_u64_list(value, key, at);
         } else {
@@ -297,7 +297,7 @@ ScenarioSpec parse_scenario(std::string_view text, std::string_view source) {
           }
           spec.fleet.shards = static_cast<std::uint32_t>(shards);
         } else if (key == "threads") {
-          spec.fleet.threads = static_cast<unsigned>(parse_u64(value, key));
+          spec.fleet.threads = parse_u32(value, key);
         } else {
           fail_at(source, line_no,
                   "unknown key '" + key +
@@ -331,7 +331,7 @@ ScenarioSpec parse_scenario(std::string_view text, std::string_view source) {
         } else if (key == "hysteresis") {
           c.hysteresis = parse_double(value, key);
         } else if (key == "persistence") {
-          c.persistence = static_cast<std::uint32_t>(parse_u64(value, key));
+          c.persistence = parse_u32(value, key);
         } else if (key == "max_step") {
           c.max_step = parse_double(value, key);
         } else if (key == "h_min") {

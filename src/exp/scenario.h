@@ -134,7 +134,7 @@ struct ScenarioFault {
   /// the hazard draw: kill_disks[i] fails at kill_at_s[i] (paired lists).
   /// No planned recovery is scripted — with [redundancy] rebuild on, the
   /// rebuild engine recovers the disk when reconstruction finishes, which
-  /// is exactly the rebuild-smoke CI shape.
+  /// is exactly the CI rebuild smoke shape.
   std::vector<std::size_t> kill_disks;
   std::vector<double> kill_at_s;
 };

@@ -11,16 +11,16 @@
 
 namespace pr {
 
-/// The fixed CSV column schema (also asserted by the scenario-smoke,
-/// fault-smoke and rebuild-smoke CI jobs): axes first, then the headline
-/// metrics. With `with_faults` the fault-sweep columns (injected rate,
-/// degradation windows, recovery times, lost/degraded counts,
-/// PRESS-vs-injected agreement) are appended; with `with_redundancy` the
-/// redundancy columns (reconstructions, data-loss events, rebuild
-/// progress, MTTDL agreement) follow after those; with `with_control`
-/// the control columns (update/shed counts, knob actuations) come last —
-/// strictly append-only, so fault-free scenarios keep the narrow schema
-/// byte-for-byte.
+/// The fixed CSV column schema (also asserted by the scenario, fault and
+/// rebuild steps of the run-experiment-smoke CI job): axes first, then
+/// the headline metrics. With `with_faults` the fault-sweep columns
+/// (injected rate, degradation windows, recovery times, lost/degraded
+/// counts, PRESS-vs-injected agreement) are appended; with
+/// `with_redundancy` the redundancy columns (reconstructions, data-loss
+/// events, rebuild progress, MTTDL agreement) follow after those; with
+/// `with_control` the control columns (update/shed counts, knob
+/// actuations) come last — strictly append-only, so fault-free scenarios
+/// keep the narrow schema byte-for-byte.
 [[nodiscard]] std::string scenario_csv_header(bool with_faults = false,
                                               bool with_redundancy = false,
                                               bool with_control = false);

@@ -21,11 +21,9 @@ ArrayContext::ArrayContext(const SimConfig& config, const FileSet& files)
   }
   idle_timer_.resize(config.disk_count);
   h_policy_transitions_ = counters_.intern("sim.policy_transitions");
-  soa_ = std::make_unique<DiskArraySoA>(config.disk_count);
   disks_.reserve(config.disk_count);
   for (std::size_t i = 0; i < config.disk_count; ++i) {
-    disks_.emplace_back(*soa_, static_cast<std::uint32_t>(i),
-                        static_cast<DiskId>(i), config.disk_params,
+    disks_.emplace_back(static_cast<DiskId>(i), config.disk_params,
                         config.initial_speed);
     if (config.seek_curve) disks_.back().set_seek_curve(*config.seek_curve);
   }

@@ -23,7 +23,6 @@
 // last arrival with no later deferred event before the horizon never fires.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -87,11 +86,6 @@ class ArrayContext {
   // --- observation ---------------------------------------------------
   [[nodiscard]] std::size_t disk_count() const { return disks_.size(); }
   [[nodiscard]] const Disk& disk(DiskId d) const { return disks_.at(d); }
-  /// The array's hot state as contiguous per-field lanes (disk/disk_soa.h).
-  /// Read-only view for policies and analytics that scan a single field
-  /// across every disk (epoch re-ranking, fleet rollups) — the facade
-  /// accessors above remain the mutation path.
-  [[nodiscard]] const DiskArraySoA& hot_state() const { return *soa_; }
   [[nodiscard]] Seconds now() const { return now_; }
   [[nodiscard]] const FileSet& files() const { return *files_; }
   [[nodiscard]] const SimConfig& config() const { return *config_; }
@@ -171,10 +165,6 @@ class ArrayContext {
 
   const SimConfig* config_;
   const FileSet* files_;
-  /// Shared hot-state lanes; declared before disks_ so the facades'
-  /// pointers outlive them on destruction. unique_ptr keeps the lanes
-  /// address-stable if the context itself is moved.
-  std::unique_ptr<DiskArraySoA> soa_;
   std::vector<Disk> disks_;
   std::vector<DpmConfig> dpm_;
   std::vector<DiskId> placement_;

@@ -46,6 +46,14 @@ std::size_t parse_size(std::string_view text, std::string_view what) {
   return static_cast<std::size_t>(value);
 }
 
+std::uint32_t parse_u32(std::string_view text, std::string_view what) {
+  const std::uint64_t value = parse_u64(text, what);
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    fail(what, "unsigned integer (out of range)", text);
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
 double parse_double(std::string_view text, std::string_view what) {
   double value = 0.0;
   const char* first = text.data();

@@ -20,6 +20,11 @@ namespace pr {
 [[nodiscard]] std::size_t parse_size(std::string_view text,
                                      std::string_view what);
 
+/// parse_u64 narrowed to std::uint32_t: a value above 2^32 - 1 is an
+/// error naming `what`, never a silent wrap (4294967296 is not 0).
+[[nodiscard]] std::uint32_t parse_u32(std::string_view text,
+                                      std::string_view what);
+
 /// Parse `text` as a finite double. Whole token must be consumed;
 /// "inf"/"nan" are rejected (no knob wants them).
 [[nodiscard]] double parse_double(std::string_view text,

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/session.h"
+#include "energy_auditor.h"
 #include "obs/counter_registry.h"
 #include "obs/jsonl_writer.h"
 #include "obs/time_series.h"
@@ -677,35 +678,6 @@ TEST(ObserverList, FanOutStreamsMatchSoleObserverByteForByte) {
 }
 
 // ------------------------------------------------------ energy conservation
-
-/// Sums event energies per the RunEndEvent conservation identity.
-class EnergyAuditor : public SimObserver {
- public:
-  void on_request_complete(const RequestCompleteEvent& e) override {
-    sum_ += e.energy.value();
-  }
-  void on_speed_transition(const SpeedTransitionEvent& e) override {
-    // kSpinUpToServe deltas are nested inside the enclosing request's.
-    if (e.cause != TransitionCause::kSpinUpToServe) sum_ += e.energy.value();
-  }
-  void on_migration(const MigrationEvent& e) override {
-    sum_ += e.energy.value();
-  }
-  void on_background_copy(const BackgroundCopyEvent& e) override {
-    sum_ += e.energy.value();
-  }
-  void on_run_end(const RunEndEvent& e) override {
-    sum_ += e.final_idle_energy.value();
-    total_ = e.total_energy.value();
-  }
-
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double total() const { return total_; }
-
- private:
-  double sum_ = 0.0;
-  double total_ = 0.0;
-};
 
 TEST(Observer, EnergyConservationAcrossPolicies) {
   // Event-level energies must account for every joule the ledgers record:

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace pr {
 namespace {
@@ -69,6 +70,31 @@ TEST(Parse, Bool) {
 TEST(Parse, SizeMatchesU64OnLP64) {
   EXPECT_EQ(parse_size("123", "k"), 123u);
   EXPECT_THROW((void)parse_size("12.5", "k"), std::invalid_argument);
+}
+
+TEST(Parse, U32AcceptsItsFullRange) {
+  EXPECT_EQ(parse_u32("0", "k"), 0u);
+  EXPECT_EQ(parse_u32("4294967295", "k"), 4294967295u);
+}
+
+TEST(Parse, U32RejectsValuesThatWouldWrap) {
+  // A plain cast would turn these into 0 and 1.
+  EXPECT_THROW((void)parse_u32("4294967296", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_u32("4294967297", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_u32("18446744073709551615", "k"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_u32("8x", "k"), std::invalid_argument);
+  EXPECT_THROW((void)parse_u32("-1", "k"), std::invalid_argument);
+}
+
+TEST(Parse, U32ErrorNamesTheKey) {
+  try {
+    (void)parse_u32("4294967296", "--threads");
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -14,21 +14,32 @@
 // reader accepts a final row without a trailing newline, so an input that
 // lacks one must be rejected by the stream reader and is otherwise
 // compared against the stream reader's view of the input plus "\n".
+//
+// The whole-file formats go through trace::open the way a user's file
+// does: a rendered Common Log Format log (mutated from the characters CLF
+// is made of) and WC98 binary logs (mutated with arbitrary bytes). Each
+// mutant must either throw a std::exception or yield a sorted trace whose
+// densified file ids are all below its distinct-file count.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "trace/csv_trace.h"
 #include "trace/stream_reader.h"
+#include "trace/trace_reader.h"
+#include "trace/wc98.h"
 #include "util/csv.h"
 #include "util/parse.h"
 #include "workload/synthetic.h"
@@ -37,8 +48,12 @@ namespace pr {
 namespace {
 
 constexpr std::string_view kAlphabet = "0123456789,.-+e\"\r\n RWx";
+constexpr std::string_view kClfAlphabet =
+    "0123456789 -+/:[]\"\r\nGETPOSHTP.OctJan";
 constexpr int kCsvCases = 20'000;
 constexpr int kJsonlCases = 10'000;
+constexpr int kClfCases = 5'000;
+constexpr int kWc98Cases = 5'000;
 /// Wall-time cap on a whole fuzz loop; a pathologically slow reader fails
 /// the test instead of stalling the suite.
 constexpr auto kTimeCap = std::chrono::seconds(120);
@@ -54,11 +69,13 @@ std::size_t below(std::uint64_t& state, std::size_t n) {
   return static_cast<std::size_t>(splitmix64(state) % n);
 }
 
-/// One to six byte-level edits of `text`.
-std::string mutate(std::string text, std::uint64_t& state) {
+/// One to six byte-level edits of `text`, drawing new bytes from
+/// `alphabet`.
+std::string mutate(std::string text, std::uint64_t& state,
+                   std::string_view alphabet = kAlphabet) {
   const std::size_t edits = 1 + below(state, 6);
   for (std::size_t e = 0; e < edits; ++e) {
-    const char byte = kAlphabet[below(state, kAlphabet.size())];
+    const char byte = alphabet[below(state, alphabet.size())];
     switch (below(state, 8)) {
       case 0:
       case 1:
@@ -249,6 +266,92 @@ std::vector<std::string> jsonl_corpus() {
   return corpus;
 }
 
+std::vector<std::string> clf_corpus() {
+  std::vector<std::string> corpus;
+  for (const std::uint64_t seed : {1U, 2U}) {
+    std::string log;
+    const Trace trace = small_trace(seed);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const Request& r = trace.requests[i];
+      const auto t = static_cast<int>(r.arrival.value());
+      char stamp[64];
+      std::snprintf(stamp, sizeof stamp, "%02d/Oct/2000:%02d:%02d:%02d",
+                    10 + t / 86400, t / 3600 % 24, t / 60 % 60, t % 60);
+      log += "10.0.0." + std::to_string(i % 7) + " - - [" + stamp +
+             " -0700] \"" + (i % 5 == 4 ? "POST" : "GET") + " /f" +
+             std::to_string(r.file) + ".html HTTP/1.0\" " +
+             (i % 6 == 5 ? "404" : "200") + " " +
+             (i % 4 == 3 ? std::string("-") : std::to_string(r.size)) + "\n";
+    }
+    corpus.push_back(log);
+  }
+  // Combined format extras, CRLF, a blank line and a malformed line.
+  corpus.push_back(
+      "host - - [10/Oct/2000:13:55:36 -0700] \"GET /a.html HTTP/1.0\" 200 "
+      "2326 \"http://x/\" \"agent\"\r\n"
+      "\n"
+      "host - - [10/Oct/2000:13:55:35 +0100] \"GET /b\" 200 -\n"
+      "garbage line\n"
+      "host - - [31/Dec/1999:23:59:60 -0000] \"PUT /a.html HTTP/1.1\" 201 "
+      "9\n");
+  return corpus;
+}
+
+std::vector<std::string> wc98_corpus() {
+  std::vector<std::string> corpus;
+  {
+    std::ifstream in(std::string(WC98_FIXTURE_DIR) + "/disorder.wc98",
+                     std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    corpus.push_back(bytes.str());
+  }
+  std::vector<Wc98Record> records;
+  for (const Request& r : small_trace(3).requests) {
+    Wc98Record record;
+    record.timestamp =
+        893'000'000U + static_cast<std::uint32_t>(r.arrival.value());
+    record.client_id = r.file * 3;
+    record.object_id = r.file + 100;
+    record.size = static_cast<std::uint32_t>(r.size);
+    record.status = 0x1f;
+    records.push_back(record);
+  }
+  records[5].size = kWc98UnknownSize;
+  std::ostringstream out;
+  write_wc98_records(records, out);
+  corpus.push_back(out.str());
+  return corpus;
+}
+
+/// Write `input` to a file and open it through trace::open as `format`.
+/// Either the reader throws a std::exception (the return is empty) or it
+/// yields a sorted trace with dense file ids; both are checked here.
+std::optional<Trace> open_mutant(const std::string& format,
+                                 const std::string& input) {
+  const std::string path = testing::TempDir() + "reader_fuzz." + format;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << input;
+  }
+  Trace trace;
+  try {
+    const auto source = trace::open(format + ":" + path);
+    Request r;
+    while (source->next(r)) trace.requests.push_back(r);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+  EXPECT_TRUE(trace.is_sorted()) << printable(input);
+  std::unordered_set<FileId> files;
+  for (const Request& r : trace.requests) files.insert(r.file);
+  for (const Request& r : trace.requests) {
+    EXPECT_TRUE(std::isfinite(r.arrival.value())) << printable(input);
+    EXPECT_LT(r.file, files.size()) << printable(input);
+  }
+  return trace;
+}
+
 TEST(ReaderFuzzTest, CsvReadersAgreeOrBothRejectEveryMutant) {
   const std::vector<std::string> corpus = csv_corpus();
   std::uint64_t state = 0xc5f0f022ULL;
@@ -318,6 +421,51 @@ TEST(ReaderFuzzTest, JsonlReaderAcceptsCleanlyOrRejectsWithContext) {
   }
   EXPECT_GT(accepted, kJsonlCases / 50);
   EXPECT_LT(accepted, kJsonlCases - kJsonlCases / 50);
+}
+
+TEST(ReaderFuzzTest, ClfReaderSurvivesEveryMutant) {
+  const std::vector<std::string> corpus = clf_corpus();
+  std::uint64_t state = 0xc1f0f022ULL;
+  const auto start = std::chrono::steady_clock::now();
+  int nonempty = 0;
+  for (int i = 0; i < kClfCases; ++i) {
+    ASSERT_LT(std::chrono::steady_clock::now() - start, kTimeCap)
+        << "time cap hit after " << i << " cases";
+    const std::string input =
+        mutate(corpus[below(state, corpus.size())], state, kClfAlphabet);
+    const std::optional<Trace> trace = open_mutant("clf", input);
+    if (HasFailure()) return;
+    // The CLF reader skips malformed lines instead of failing on them.
+    ASSERT_TRUE(trace.has_value()) << printable(input);
+    if (!trace->empty()) ++nonempty;
+  }
+  EXPECT_GT(nonempty, kClfCases / 2);
+}
+
+TEST(ReaderFuzzTest, Wc98ReaderSurvivesEveryMutant) {
+  const std::vector<std::string> corpus = wc98_corpus();
+  std::string any_byte(256, '\0');
+  for (std::size_t b = 0; b < any_byte.size(); ++b) {
+    any_byte[b] = static_cast<char>(b);
+  }
+  std::uint64_t state = 0x3c98f022ULL;
+  const auto start = std::chrono::steady_clock::now();
+  int accepted = 0;
+  for (int i = 0; i < kWc98Cases; ++i) {
+    ASSERT_LT(std::chrono::steady_clock::now() - start, kTimeCap)
+        << "time cap hit after " << i << " cases";
+    const std::string input =
+        mutate(corpus[below(state, corpus.size())], state, any_byte);
+    const std::optional<Trace> trace = open_mutant("wc98", input);
+    if (HasFailure()) return;
+    if (!trace) continue;
+    ++accepted;
+    // A whole number of records decodes to exactly that many requests.
+    ASSERT_EQ(input.size() % kWc98RecordBytes, 0U);
+    ASSERT_EQ(trace->size(), input.size() / kWc98RecordBytes);
+  }
+  EXPECT_GT(accepted, kWc98Cases / 50);
+  EXPECT_LT(accepted, kWc98Cases - kWc98Cases / 50);
 }
 
 }  // namespace

@@ -113,6 +113,23 @@ TEST(ScenarioParse, ErrorsCarrySourceAndLine) {
   expect_parse_error("[policy]\n", {"t.ini:1"});  // missing policy name
 }
 
+TEST(ScenarioParse, ThirtyTwoBitKeysRejectValuesThatWouldWrap) {
+  // A plain 32-bit cast turns threads = 2^32 into 0 (hardware
+  // concurrency) and persistence = 2^32 + 1 into 1; both must be errors
+  // naming the line and the key.
+  expect_parse_error("[scenario]\nthreads = 4294967296\n",
+                     {"t.ini:2:", "threads", "4294967296"});
+  expect_parse_error("[fleet]\nshards = 2\nthreads = 4294967296\n",
+                     {"t.ini:3:", "threads", "4294967296"});
+  expect_parse_error("[control]\npersistence = 4294967297\n",
+                     {"t.ini:2:", "persistence", "4294967297"});
+  EXPECT_EQ(parse_scenario("[scenario]\nthreads = 4294967295\n"
+                           "[policy read]\n",
+                           "t.ini")
+                .threads,
+            4294967295u);
+}
+
 TEST(ScenarioValidate, RejectsBadSpecs) {
   ScenarioSpec spec;
   spec.policies.push_back({"read", "", {}});

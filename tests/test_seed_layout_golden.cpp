@@ -1,7 +1,8 @@
 // Seed-layout golden: pins the byte-exact observable output of the
-// simulator as it was BEFORE the SoA hot-state refactor (commit 1701bae,
-// AoS `Disk` objects owning their own ledgers), so the `Disk`-as-facade
-// layout (disk/disk_soa.h) is provably a drop-in. The constants below are
+// simulator as it was at the seed (commit 1701bae, `Disk` objects owning
+// their own ledgers), so any later change to how disk state is stored —
+// the since-removed per-field array layout, or today's plain `Disk`
+// members — is provably a drop-in. The constants below are
 // FNV-1a-64 hashes of (a) the full JSONL observer stream and (b) a
 // canonical full-precision dump of the SimResult, captured by running this
 // very harness at the seed commit. Any change to arithmetic order, event
@@ -57,7 +58,7 @@ GoldenHashes run_golden() {
 
 #if defined(__x86_64__) || defined(_M_X64)
 
-// Captured at the seed commit (pre-SoA AoS Disk layout); see file comment.
+// Captured at the seed commit; see file comment.
 // The result hashes were re-pinned once, when the retired event-queue
 // scheduler's always-zero staleness counter left the dump (the only line
 // that moved); the JSONL hashes never moved.

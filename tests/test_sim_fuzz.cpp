@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "energy_auditor.h"
 #include "golden_dump.h"
 #include "redundancy/scheme.h"
 #include "sim/array_sim.h"
@@ -286,9 +287,9 @@ TEST_P(SimChaosCombo, InvariantsHoldAcrossSubsystemCombinations) {
   const FaultPlan plan = FaultPlan::from_events(events);
   const bool striped = draw.bernoulli(0.5);
 
-  const auto run = [&] {
+  const auto run = [&](SimObserver* observer = nullptr) {
     ChaosPolicy policy(GetParam(), striped);
-    return run_simulation(cfg, w.files, w.trace, policy, nullptr, &plan);
+    return run_simulation(cfg, w.files, w.trace, policy, observer, &plan);
   };
   const SimResult result = run();
   const std::string combo =
@@ -326,6 +327,21 @@ TEST_P(SimChaosCombo, InvariantsHoldAcrossSubsystemCombinations) {
 
   // Deterministic: a rerun is byte-identical.
   EXPECT_EQ(golden::dump_result(run()), golden::dump_result(result)) << combo;
+
+  // Energy is conserved: the event energies add up to the run's total,
+  // which equals the sum of the ledgers; watching the run moves no byte.
+  EnergyAuditor audit;
+  const SimResult observed = run(&audit);
+  EXPECT_EQ(golden::dump_result(observed), golden::dump_result(result))
+      << combo;
+  double ledger_energy = 0.0;
+  for (const auto& l : result.ledgers) ledger_energy += l.energy.value();
+  ASSERT_GT(audit.total(), 0.0) << combo;
+  const double tolerance = 1e-9 * audit.total();
+  EXPECT_NEAR(audit.sum(), audit.total(), tolerance) << combo;
+  EXPECT_NEAR(audit.total(), result.total_energy.value(), tolerance)
+      << combo;
+  EXPECT_NEAR(audit.total(), ledger_energy, tolerance) << combo;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimChaosCombo,
