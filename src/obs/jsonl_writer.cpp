@@ -1,62 +1,85 @@
 #include "obs/jsonl_writer.h"
 
 #include <charconv>
-#include <concepts>
+#include <cstring>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
-#include <string_view>
 #include <system_error>
+#include <type_traits>
 
 #include "util/contracts.h"
 #include "util/fmt.h"
 
 namespace pr {
 
-namespace {
-
-// The pieces a line is made of. Keys stay string literals so prlint's
-// schema-drift pass sees every emitted "key":.
-template <std::size_t N>
-void put(std::string& line, const char (&literal)[N]) {
-  line.append(literal, N - 1);
-}
-
-void put(std::string& line, std::string_view text) { line.append(text); }
-
-void put(std::string& line, char c) { line.push_back(c); }
-
-void put(std::string& line, double v) { append_double(line, v, 17); }
-
-template <std::integral T>
-void put(std::string& line, T v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  PR_ASSERT(res.ec == std::errc{}, "JsonlTraceWriter: to_chars overflow");
-  line.append(buf, res.ptr);
-}
-
-}  // namespace
-
 JsonlTraceWriter::JsonlTraceWriter(std::ostream& out, JsonlOptions options)
-    : out_(&out), options_(options) {}
+    : out_(&out), target_("stream"), options_(options) {}
 
 JsonlTraceWriter::JsonlTraceWriter(const std::string& path,
                                    JsonlOptions options)
-    : owned_(path, std::ios::binary), out_(&owned_), options_(options) {
+    : owned_(path, std::ios::binary),
+      out_(&owned_),
+      target_(path),
+      options_(options) {
   if (!owned_) {
     throw std::runtime_error("JsonlTraceWriter: cannot open " + path);
   }
 }
 
+// The pieces a line is made of. Keys stay string literals at the call
+// sites so prlint's schema-drift pass sees every emitted "key":.
 template <typename... Parts>
 void JsonlTraceWriter::append(const Parts&... parts) {
-  (put(line_, parts), ...);
+  (put(parts), ...);
+}
+
+template <std::size_t N>
+void JsonlTraceWriter::put(const char (&literal)[N]) {
+  reserve(N - 1);
+  std::memcpy(line_.data() + used_, literal, N - 1);
+  used_ += N - 1;
+}
+
+void JsonlTraceWriter::put(std::string_view text) {
+  PR_ASSERT(text.size() <= kLineBytes, "JsonlTraceWriter: piece too long");
+  reserve(text.size());
+  std::memcpy(line_.data() + used_, text.data(), text.size());
+  used_ += text.size();
+}
+
+void JsonlTraceWriter::put(double v) {
+  reserve(kDouble17MaxChars);
+  used_ = static_cast<std::size_t>(
+      write_double17(line_.data() + used_, v) - line_.data());
+}
+
+template <std::integral T>
+  requires(!std::same_as<T, bool> && !std::same_as<T, char>)
+void JsonlTraceWriter::put(T v) {
+  constexpr std::size_t kMaxChars =
+      std::numeric_limits<T>::digits10 + 1 + (std::is_signed_v<T> ? 1 : 0);
+  reserve(kMaxChars);
+  char* const first = line_.data() + used_;
+  const auto res = std::to_chars(first, first + kMaxChars, v);
+  PR_ASSERT(res.ec == std::errc{}, "JsonlTraceWriter: to_chars overflow");
+  used_ = static_cast<std::size_t>(res.ptr - line_.data());
+}
+
+void JsonlTraceWriter::reserve(std::size_t n) {
+  if (kLineBytes - used_ < n) [[unlikely]] drain();
+}
+
+void JsonlTraceWriter::drain() {
+  out_->write(line_.data(), static_cast<std::streamsize>(used_));
+  used_ = 0;
 }
 
 void JsonlTraceWriter::write_line() {
-  out_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
-  line_.clear();
-  ++lines_;
+  drain();
+  // A failed stream stays failed, so a line counts only if every write
+  // that carried a piece of it succeeded.
+  if (!out_->fail()) ++lines_;
 }
 
 void JsonlTraceWriter::on_run_start(const RunStartEvent& event) {
@@ -64,8 +87,8 @@ void JsonlTraceWriter::on_run_start(const RunStartEvent& event) {
          event.file_count, R"(,"epoch_s":)", event.epoch.value(),
          R"(,"initial_speeds":[)");
   for (std::size_t d = 0; d < event.initial_speeds.size(); ++d) {
-    if (d > 0) append(',');
-    append('"', to_string(event.initial_speeds[d]), '"');
+    if (d > 0) append(",");
+    append("\"", to_string(event.initial_speeds[d]), "\"");
   }
   append("]}\n");
   write_line();
@@ -204,6 +227,9 @@ void JsonlTraceWriter::on_run_end(const RunEndEvent& event) {
          event.total_energy.value(), "}\n");
   write_line();
   out_->flush();
+  if (out_->fail()) {
+    throw std::runtime_error("JsonlTraceWriter: write failed on " + target_);
+  }
 }
 
 }  // namespace pr

@@ -982,15 +982,24 @@ SimResult run_simulation(const SimConfig& config, const FileSet& files,
                          const Trace& trace, Policy& policy,
                          SimObserver* observer, const FaultPlan* faults) {
   // Upfront validation preserves the historical contract that a bad trace
-  // throws before the policy runs initialize().
-  if (!trace.is_sorted()) {
+  // throws before the policy runs initialize(). One pass gathers both
+  // conditions, and an inversion anywhere outranks an unknown file id,
+  // even one that comes earlier in the trace.
+  bool unsorted = false;
+  bool unknown_file = false;
+  Seconds last = trace.requests.empty() ? Seconds{}
+                                        : trace.requests.front().arrival;
+  for (const auto& r : trace.requests) {
+    unsorted |= r.arrival < last;
+    unknown_file |= r.file == kInvalidFile || r.file >= files.size();
+    last = r.arrival;
+  }
+  if (unsorted) {
     throw std::invalid_argument("run_simulation: trace is not sorted");
   }
-  for (const auto& r : trace.requests) {
-    if (r.file == kInvalidFile || r.file >= files.size()) {
-      throw std::invalid_argument(
-          "run_simulation: trace references unknown file");
-    }
+  if (unknown_file) {
+    throw std::invalid_argument(
+        "run_simulation: trace references unknown file");
   }
   TraceSource source(trace);
   return run_simulation(config, files, source, policy, observer, faults);

@@ -9,26 +9,64 @@
 // printf("%.{precision}g") in the "C" locale — byte-identical to what the
 // default-locale ostream code it replaces produced.
 //
-// Precision 17 (the round-trip format every emitter uses) has an exact
-// integer fast path for normal doubles with |v| in [2^-53, 1e17), that is
-// from about 1.1e-16: the 17 digits are one 128-bit product m * 5^p
-// shifted by a power of two and rounded half-to-even from the shifted-out
-// bits, then laid out by the %g rules. Zero, subnormals, inf/NaN, magnitudes outside that band and
-// every other precision go to std::to_chars, which stays the reference;
-// tests/test_fmt.cpp checks the two agree byte for byte.
+// Precision 17 (the round-trip format every emitter uses) goes through one
+// kernel, write_double17, which writes in place and is byte-identical to
+// std::to_chars(general, 17):
+//   - ±0 is written directly as "0" / "-0";
+//   - a normal double v = m * 2^(E-52) with E = floor(log2 |v|) in
+//     [-53, 56] and |v| < 1e17 takes an exact integer path. Its decimal
+//     exponent X is fixed up front: floor(E * log10 2), plus one when
+//     m reaches that binade's threshold mantissa (a 110-entry table built
+//     at compile time with exact 128-bit arithmetic), so there is no
+//     retry. The 17 digits are round-half-even of m * 5^p * 2^(E-52+p),
+//     p = 16 - X, one 128-bit product and shift. They are written as one
+//     head digit plus two 8-digit blocks, trailing zeros are trimmed by
+//     word compares, and the %g layout is assembled with fixed-size
+//     copies;
+//   - subnormals, inf/NaN and magnitudes outside that band fall back to
+//     std::to_chars, which stays the reference. tests/test_fmt.cpp checks
+//     the two agree byte for byte.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace pr {
+
+/// Upper bound on the bytes write_double17 writes, e.g.
+/// "-2.2250738585072014e-308".
+inline constexpr std::size_t kDouble17MaxChars = 24;
+
+/// Writes `%.17g` of `v` (C locale) at `out` and returns one past the last
+/// byte written. It writes at most kDouble17MaxChars bytes and touches
+/// nothing at or past the returned pointer.
+char* write_double17(char* out, double v);
 
 /// `%.{precision}g`-style text for `v` in the C locale. precision 17
 /// round-trips every finite double; 6 matches the default ostream
 /// formatting the figure benches historically emitted.
 [[nodiscard]] std::string format_double(double v, int precision = 17);
 
-/// Append form of format_double for string-building emitters; it
-/// allocates nothing beyond `out`'s own growth.
+/// Append form of format_double for string-building emitters; precision
+/// 17 goes through write_double17.
 void append_double(std::string& out, double v, int precision = 17);
+
+namespace detail {
+
+/// The binary exponents E = floor(log2 |v|) of write_double17's exact path.
+inline constexpr int kDouble17MinExponent = -53;
+inline constexpr int kDouble17MaxExponent = 56;
+
+/// floor(E * log10 2) for E in [kDouble17MinExponent, kDouble17MaxExponent]:
+/// 78913 / 2^18 approximates log10 2 closely enough over that range.
+constexpr int decade_estimate(int e) { return (e * 78913) >> 18; }
+
+/// The smallest mantissa m in [2^52, 2^53) with
+/// m * 2^(E-52) >= 10^(decade_estimate(E) + 1), or 2^53 when no mantissa
+/// of binade E reaches that decade. Exposed for tests/test_fmt.cpp.
+[[nodiscard]] std::uint64_t decade_threshold(int e);
+
+}  // namespace detail
 
 }  // namespace pr

@@ -1,17 +1,22 @@
-// Differential test of util/fmt.h's `%.17g` integer fast path against
-// std::to_chars(general, 17), the reference it must match byte for byte:
-// seeded random bit patterns plus the edge families where a digit kernel
-// goes wrong (powers of ten, the fast-path band edges, the %g fixed /
-// exponential switch, round-half-even ties, signed zero and non-finite
-// values).
+// Differential test of util/fmt.h's `%.17g` kernel, write_double17,
+// against std::to_chars(general, 17), the reference it must match byte for
+// byte: seeded random bit patterns plus the edge families where a digit
+// kernel goes wrong (powers of ten, the exact-path band edges, the %g
+// fixed / exponential switch, round-half-even ties, signed zero and
+// non-finite values, every binade's decade threshold). It also recomputes
+// the kernel's exponent table independently and checks that the kernel
+// writes nothing past the pointer it returns.
 #include "util/fmt.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -27,9 +32,8 @@ std::string reference(double v, int precision = 17) {
 }
 
 std::string kernel17(double v) {
-  std::string out;
-  append_double(out, v, 17);
-  return out;
+  char buf[kDouble17MaxChars];
+  return std::string(buf, write_double17(buf, v));
 }
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -49,7 +53,7 @@ std::size_t mismatches(const std::vector<double>& values) {
     if (got == want) continue;
     if (++bad <= 5) {
       ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v)
-                    << ": append_double gave '" << got << "', to_chars '"
+                    << ": write_double17 gave '" << got << "', to_chars '"
                     << want << "'";
     }
   }
@@ -164,7 +168,124 @@ TEST(FormatDouble17, RoundHalfEvenTies) {
 TEST(FormatDouble17, OtherPrecisionsStillUseToChars) {
   for (const double v : {0.5, 1.0 / 3.0, 123456.789, 1e-7, -2.5e20}) {
     EXPECT_EQ(format_double(v, 6), reference(v, 6));
+    EXPECT_EQ(format_double(v), reference(v));
   }
+}
+
+constexpr int kMinE = detail::kDouble17MinExponent;
+constexpr int kMaxE = detail::kDouble17MaxExponent;
+constexpr std::uint64_t kHidden = std::uint64_t{1} << 52;
+
+/// m * 2^(e - 52), exact for a 53-bit mantissa m.
+double from_mantissa(std::uint64_t m, int e) {
+  return std::ldexp(static_cast<double>(m), e - 52);
+}
+
+/// floor(log10 |v|) read off v's exact decimal expansion: every double of
+/// the band has at most 17 integer and 105 fraction digits, so 200
+/// significant digits in scientific form are exact, never rounded up.
+int decimal_exponent(double v) {
+  char buf[256];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::scientific, 200);
+  EXPECT_EQ(res.ec, std::errc{});
+  const std::string text(buf, res.ptr);
+  return std::atoi(text.c_str() + text.find('e') + 1);
+}
+
+TEST(FormatDouble17, DecadeEstimateIsFloorOfELog10Two) {
+  for (int e = kMinE; e <= kMaxE; ++e) {
+    const int expected = decimal_exponent(std::ldexp(1.0, e));
+    EXPECT_EQ(detail::decade_estimate(e), expected) << "E = " << e;
+    EXPECT_EQ(expected,
+              static_cast<int>(std::floor(e * std::log10(2.0L))))
+        << "E = " << e;
+  }
+}
+
+TEST(FormatDouble17, ExponentTableMatchesBisectionOverExactExpansions) {
+  // The threshold is the smallest mantissa whose value reaches the next
+  // decade; the decimal exponent only grows with m inside a binade, so a
+  // bisection over exact expansions finds it without the kernel's
+  // arithmetic.
+  for (int e = kMinE; e <= kMaxE; ++e) {
+    const int next_decade = detail::decade_estimate(e) + 1;
+    std::uint64_t lo = kHidden;      // always below the next decade
+    std::uint64_t hi = 2 * kHidden;  // "never" when nothing reaches it
+    while (hi - lo > 1) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (decimal_exponent(from_mantissa(mid, e)) >= next_decade) {
+        hi = mid;
+      } else {
+        lo = mid;
+      }
+    }
+    if (decimal_exponent(from_mantissa(lo, e)) >= next_decade) hi = lo;
+    EXPECT_EQ(detail::decade_threshold(e), hi) << "E = " << e;
+  }
+}
+
+TEST(FormatDouble17, EveryBinadeAroundItsThresholdAndEdges) {
+  std::vector<double> values;
+  for (int e = kMinE; e <= kMaxE; ++e) {
+    const std::uint64_t t = detail::decade_threshold(e);
+    for (const std::uint64_t m : {t - 1, t, t + 1}) {
+      if (m >= kHidden && m < 2 * kHidden) {
+        values.push_back(from_mantissa(m, e));
+      }
+    }
+    values.push_back(std::ldexp(1.0, e));                        // 2^E
+    values.push_back(from_mantissa(2 * kHidden - 1, e));         // 2^(E+1)-ulp
+  }
+  // The binades just outside the table take the fallback.
+  values.push_back(std::ldexp(1.0, kMinE - 1));
+  values.push_back(from_mantissa(2 * kHidden - 1, kMinE - 1));
+  values.push_back(std::ldexp(1.0, kMaxE + 1));
+  EXPECT_EQ(mismatches(with_negatives(values)), 0u);
+}
+
+TEST(FormatDouble17, WritesNothingPastItsReturnedPointer) {
+  constexpr char kSentinel = '\x7f';
+  constexpr std::size_t kPad = 16;
+  std::vector<double> values = with_negatives(
+      {0.0, 1.0, 0.1, 1e-4, 1e-5, 1e16, 1e17, 99999999999999999.0,
+       1234567890123456.25, 0.5, 5e-324, 2.2250738585072009e-308,
+       std::numeric_limits<double>::max(),
+       std::numeric_limits<double>::infinity(),
+       std::numeric_limits<double>::quiet_NaN()});
+  for (int e = kMinE - 2; e <= kMaxE + 2; ++e) {
+    values.push_back(std::ldexp(1.0, e));
+    values.push_back(-from_mantissa(2 * kHidden - 1, e));
+  }
+  std::uint64_t state = 1;
+  for (int i = 0; i < 100'000; ++i) {
+    values.push_back(std::bit_cast<double>(splitmix64(state)));
+  }
+  std::size_t longest = 0;
+  std::size_t bad = 0;
+  for (const double v : values) {
+    std::array<char, kPad + kDouble17MaxChars + kPad> buf;
+    buf.fill(kSentinel);
+    char* const first = buf.data() + kPad;
+    char* const end = write_double17(first, v);
+    const auto n = static_cast<std::size_t>(end - first);
+    longest = std::max(longest, n);
+    const bool clean =
+        n <= kDouble17MaxChars &&
+        std::all_of(buf.begin(), buf.begin() + kPad,
+                    [](char c) { return c == kSentinel; }) &&
+        std::all_of(buf.begin() + static_cast<std::ptrdiff_t>(kPad + n),
+                    buf.end(), [](char c) { return c == kSentinel; }) &&
+        std::string(first, end) == reference(v);
+    if (!clean && ++bad <= 5) {
+      ADD_FAILURE() << "bits 0x" << std::hex
+                    << std::bit_cast<std::uint64_t>(v) << ": wrote "
+                    << std::dec << n << " bytes '" << std::string(first, end)
+                    << "' or touched bytes outside them";
+    }
+  }
+  EXPECT_EQ(bad, 0u);
+  EXPECT_EQ(longest, kDouble17MaxChars);
 }
 
 }  // namespace

@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <fstream>
+#include <limits>
 #include <locale>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -635,6 +640,214 @@ TEST(JsonlTraceWriter, StreamLocaleChangesNoByteAndIsLeftAlone) {
 TEST(JsonlTraceWriter, ThrowsOnUnopenablePath) {
   EXPECT_THROW(JsonlTraceWriter("/nonexistent-dir/trace.jsonl"),
                std::runtime_error);
+}
+
+/// Records every write the writer makes, or rejects them all.
+class WriteLog final : public std::streambuf {
+ public:
+  explicit WriteLog(bool reject = false) : reject_(reject) {}
+  std::vector<std::string> writes;
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    if (reject_) return 0;
+    writes.emplace_back(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int overflow(int c) override {
+    if (reject_ || c == traits_type::eof()) return traits_type::eof();
+    writes.emplace_back(1, traits_type::to_char_type(c));
+    return c;
+  }
+
+ private:
+  bool reject_;
+};
+
+TEST(JsonlTraceWriter, WriteFailuresAreNotCountedAndFailTheRun) {
+  auto wc = worldcup98_light_config(13);
+  wc.file_count = 200;
+  wc.request_count = 2'000;
+  const auto w = generate_workload(wc);
+  SystemConfig cfg;
+  cfg.sim.disk_count = 4;
+  cfg.sim.epoch = Seconds{600.0};
+
+  WriteLog rejecting(/*reject=*/true);
+  std::ostream out(&rejecting);
+  JsonlTraceWriter writer(out);
+  try {
+    (void)SimulationSession(cfg)
+        .with_workload(w)
+        .with_policy("read")
+        .with_observer(writer)
+        .run();
+    FAIL() << "a run whose every JSONL write failed reported success";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("stream"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(writer.lines_written(), 0u);
+  EXPECT_TRUE(rejecting.writes.empty());
+}
+
+TEST(JsonlTraceWriter, WriteFailureOnAFileNamesThePath) {
+  // /dev/full accepts the open and fails every write that reaches it.
+  const std::string path = "/dev/full";
+  if (!std::ofstream(path)) GTEST_SKIP() << path << " cannot be opened";
+  JsonlTraceWriter writer(path);
+  RunStartEvent start;
+  start.disk_count = 1;
+  start.initial_speeds = {DiskSpeed::kHigh};
+  writer.on_run_start(start);
+  try {
+    writer.on_run_end(RunEndEvent{});
+    FAIL() << "the final flush to " << path << " failed silently";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(JsonlTraceWriter, ExtremeLinesOfEveryKindFitOneWrite) {
+  // The longest double text (24 bytes), the longest integers and
+  // non-finite energies in every field: each bounded line must still
+  // reach the stream in a single write.
+  const Seconds t{-std::numeric_limits<double>::denorm_min()};
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto u64 = std::numeric_limits<std::uint64_t>::max();
+  const auto u32 = std::numeric_limits<std::uint32_t>::max();
+
+  WriteLog log;
+  std::ostream out(&log);
+  JsonlOptions all;
+  all.copies = true;
+  JsonlTraceWriter writer(out, all);
+
+  RunStartEvent start;
+  start.disk_count = u64;
+  start.file_count = u64;
+  start.epoch = t;
+  start.initial_speeds = {DiskSpeed::kHigh, DiskSpeed::kLow};
+  writer.on_run_start(start);
+  writer.on_request_complete({.arrival = t,
+                              .completion = t,
+                              .file = u32,
+                              .disk = u32,
+                              .bytes = u64,
+                              .backlog = t,
+                              .service_time = t,
+                              .energy = Joules{-inf},
+                              .stripe_chunks = u32});
+  writer.on_speed_transition({.time = t,
+                              .finish = t,
+                              .disk = u32,
+                              .from = DiskSpeed::kHigh,
+                              .to = DiskSpeed::kLow,
+                              .cause = TransitionCause::kSpinUpToServe,
+                              .energy = Joules{inf}});
+  writer.on_disk_state_change({.time = t,
+                               .disk = u32,
+                               .from = DiskPowerState::kLowPower,
+                               .to = DiskPowerState::kActive});
+  writer.on_epoch_end({.time = t, .index = u64, .requests = u64});
+  writer.on_migration({.time = t,
+                       .file = u32,
+                       .from = u32,
+                       .to = u32,
+                       .bytes = u64,
+                       .energy = Joules{inf}});
+  writer.on_background_copy({.time = t,
+                             .from = u32,
+                             .to = u32,
+                             .bytes = u64,
+                             .energy = Joules{-inf}});
+  writer.on_disk_fail({.time = t,
+                       .disk = u32,
+                       .mode = FaultMode::kFailStop,
+                       .factor = t.value()});
+  writer.on_disk_recover({.time = t, .disk = u32, .downtime = t});
+  writer.on_request_degraded({.time = t,
+                              .file = u32,
+                              .intended = u32,
+                              .served_by = u32,
+                              .outcome = DegradedOutcome::kReconstructed,
+                              .slowdown = t.value()});
+  writer.on_rebuild_start({.time = t, .disk = u32, .bytes = u64});
+  writer.on_rebuild_progress({.time = t,
+                              .disk = u32,
+                              .done = u64,
+                              .total = u64,
+                              .energy = Joules{inf}});
+  writer.on_rebuild_complete(
+      {.time = t, .disk = u32, .bytes = u64, .duration = t});
+  writer.on_stripe_reconstruct({.time = t,
+                                .file = u32,
+                                .failed = u32,
+                                .sources = u32,
+                                .bytes = u64});
+  writer.on_control_update({.time = t,
+                            .epoch_index = u64,
+                            .requests = u64,
+                            .shed = u64,
+                            .mean_rt_s = t.value(),
+                            .max_backlog_s = t.value(),
+                            .energy_j = -inf,
+                            .h_scale = t.value(),
+                            .hot_delta = std::numeric_limits<int>::min(),
+                            .epoch_scale = t.value(),
+                            .epoch_len_s = t.value()});
+  writer.on_run_end({.horizon = t,
+                     .user_requests = u64,
+                     .total_energy = Joules{-inf}});
+
+  constexpr std::size_t kKinds = 16;
+  ASSERT_EQ(log.writes.size(), kKinds);
+  EXPECT_EQ(writer.lines_written(), kKinds);
+  for (const auto& line : log.writes) {
+    EXPECT_LE(line.size(), JsonlTraceWriter::kLineBytes);
+    EXPECT_EQ(std::count(line.begin(), line.end(), '\n'), 1) << line;
+    EXPECT_EQ(line.back(), '\n') << line;
+  }
+  EXPECT_EQ(log.writes[1],
+            R"({"ev":"request","t":-4.9406564584124654e-324,)"
+            R"("completion":-4.9406564584124654e-324,"file":4294967295,)"
+            R"("disk":4294967295,"bytes":18446744073709551615,"rt_s":0,)"
+            R"("backlog_s":-4.9406564584124654e-324,)"
+            R"("service_s":-4.9406564584124654e-324,"energy_j":-inf,)"
+            R"("chunks":4294967295})"
+            "\n");
+}
+
+TEST(JsonlTraceWriter, LongRunStartLineSpillsAcrossWrites) {
+  // run_start is the one unbounded line: a wide array overflows the line
+  // buffer, which goes to the stream piecewise and still counts one line.
+  WriteLog log;
+  std::ostream out(&log);
+  JsonlTraceWriter writer(out);
+  RunStartEvent start;
+  start.disk_count = 1'000;
+  start.file_count = 7;
+  start.epoch = Seconds{600.0};
+  std::string expected =
+      R"({"ev":"run_start","disks":1000,"files":7,"epoch_s":600,)"
+      R"("initial_speeds":[)";
+  for (std::size_t d = 0; d < start.disk_count; ++d) {
+    const DiskSpeed speed = d % 3 == 0 ? DiskSpeed::kLow : DiskSpeed::kHigh;
+    start.initial_speeds.push_back(speed);
+    expected += (d > 0 ? ",\"" : "\"") + std::string(to_string(speed)) + "\"";
+  }
+  expected += "]}\n";
+  writer.on_run_start(start);
+
+  EXPECT_GT(log.writes.size(), 1u);
+  std::string joined;
+  for (const auto& piece : log.writes) {
+    EXPECT_LE(piece.size(), JsonlTraceWriter::kLineBytes);
+    joined += piece;
+  }
+  EXPECT_EQ(joined, expected);
+  EXPECT_EQ(writer.lines_written(), 1u);
 }
 
 // --------------------------------------------------------------- ObserverList

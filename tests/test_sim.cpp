@@ -262,6 +262,22 @@ TEST(ArraySim, RejectsUnknownFileInTrace) {
                std::invalid_argument);
 }
 
+TEST(ArraySim, UnsortedTraceOutranksEarlierUnknownFile) {
+  // The unknown file id comes first, the inversion after it: the trace is
+  // still reported as unsorted, as it was when sortedness was checked in
+  // a pass of its own before the file ids.
+  StaticPolicy policy;
+  const auto files = two_files();
+  auto trace = trace_of({{0.0, 0}, {5.0, 1}, {1.0, 0}});
+  trace.requests[0].file = 17;
+  try {
+    (void)run_simulation(config(2), files, trace, policy);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "run_simulation: trace is not sorted");
+  }
+}
+
 TEST(ArraySim, RejectsPolicyThatLeavesFilesUnplaced) {
   class LazyPolicy : public Policy {
    public:
