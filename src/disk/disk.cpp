@@ -30,6 +30,10 @@ bool Disk::ledger_conserves(double rel_tol) const {
 Disk::Disk(DiskId id, const TwoSpeedDiskParams& params, DiskSpeed initial)
     : speed_(initial), id_(id), params_(params), initial_speed_(initial) {
   validate(params_);
+  for (const DiskSpeed s : {DiskSpeed::kLow, DiskSpeed::kHigh}) {
+    service_[static_cast<std::size_t>(s)] =
+        service_constants(params_.mode(s == DiskSpeed::kHigh));
+  }
 }
 
 void Disk::add_time_at_speed(DiskSpeed s, Seconds dt) {
@@ -78,7 +82,9 @@ Seconds Disk::serve_impl(Seconds arrival, Bytes bytes, bool internal,
   account_idle_until(start);
 
   const auto& mode = params_.mode(speed_ == DiskSpeed::kHigh);
-  ServiceCost cost = service_cost(mode, bytes);
+  ServiceCost cost;
+  cost.time = service_time(service_[static_cast<std::size_t>(speed_)], bytes);
+  cost.energy = mode.active_power * cost.time;
   if (cylinder) {
     // Replace the average seek with the head-travel seek.
     const Cylinder target = *cylinder % seek_curve_->geometry().cylinders;

@@ -191,6 +191,7 @@ class Disk {
   Seconds ready_time_{0.0};       // earliest start for new work
   Seconds accounted_until_{0.0};  // ledger coverage watermark
   DiskLedger ledger_;
+  ServiceConstants service_[2];  // service_constants() per DiskSpeed
 
   DiskId id_;
   TwoSpeedDiskParams params_;

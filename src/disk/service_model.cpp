@@ -2,10 +2,13 @@
 
 namespace pr {
 
+ServiceConstants service_constants(const DiskSpeedMode& mode) {
+  return ServiceConstants{mode.avg_seek + mode.avg_rotational_latency(),
+                          mode.transfer_bytes_per_s()};
+}
+
 Seconds service_time(const DiskSpeedMode& mode, Bytes bytes) {
-  const double transfer =
-      static_cast<double>(bytes) / mode.transfer_bytes_per_s();
-  return mode.avg_seek + mode.avg_rotational_latency() + Seconds{transfer};
+  return service_time(service_constants(mode), bytes);
 }
 
 ServiceCost service_cost(const DiskSpeedMode& mode, Bytes bytes) {

@@ -13,6 +13,21 @@ struct ServiceCost {
   Joules energy{0.0};
 };
 
+/// The per-mode terms of the service time, computed once so a transfer
+/// costs one add and one divide. Disk keeps one per speed.
+struct ServiceConstants {
+  Seconds positioning{0.0};  // avg_seek + avg_rotational_latency()
+  double bytes_per_s = 0.0;  // transfer_bytes_per_s()
+};
+
+[[nodiscard]] ServiceConstants service_constants(const DiskSpeedMode& mode);
+
+/// Service time of a whole-file transfer of `bytes` with constants `k`.
+[[nodiscard]] inline Seconds service_time(const ServiceConstants& k,
+                                          Bytes bytes) {
+  return k.positioning + Seconds{static_cast<double>(bytes) / k.bytes_per_s};
+}
+
 /// Service time of a whole-file transfer of `bytes` at the given mode.
 [[nodiscard]] Seconds service_time(const DiskSpeedMode& mode, Bytes bytes);
 

@@ -84,6 +84,10 @@ class RedundancyScheme {
 /// its g−1 partner disks for a stripe salt — the file id for a degraded
 /// read, the step index for a rebuild step — so a degraded read and a
 /// rebuild step of the same salt read the same disks.
+///
+/// A read walks the partners directly, with no per-partner call or
+/// division: the members of failed's group (RAID-5), or a ring of the
+/// other disks entered at salt mod (n−1) (declustered parity).
 class ParityScheme : public RedundancyScheme {
  public:
   [[nodiscard]] bool degraded_read(ArrayContext& ctx, const FaultState& faults,
@@ -97,15 +101,24 @@ class ParityScheme : public RedundancyScheme {
   [[nodiscard]] std::size_t group() const { return group_; }
 
  protected:
-  /// `group` = 0 means the whole array.
-  ParityScheme(std::size_t disk_count, std::size_t group);
+  /// Which partners a layout reads: the other members of failed's group,
+  /// whatever the salt, or g−1 consecutive disks of the ring of the n−1
+  /// others, rotated by the salt.
+  enum class Partners { kGroup, kRing };
 
-  /// Partner j ∈ [0, g−1) of `failed` for stripe `salt`.
-  [[nodiscard]] virtual DiskId partner(DiskId failed, std::uint64_t salt,
-                                       std::size_t j) const = 0;
+  /// `group` = 0 means the whole array.
+  ParityScheme(std::size_t disk_count, std::size_t group, Partners partners);
 
   std::size_t disks_;
   std::size_t group_;
+
+ private:
+  /// Call `visit(p)` for partner j = 0 … g−2 of `failed` for `salt`, in
+  /// order, stopping early (and returning false) when `visit` does.
+  template <typename Visit>
+  bool each_partner(DiskId failed, std::uint64_t salt, Visit visit) const;
+
+  Partners partners_;
 };
 
 /// RAID-5: rotated parity over fixed consecutive groups of `group` disks
@@ -121,10 +134,6 @@ class Raid5Scheme final : public ParityScheme {
   [[nodiscard]] bool loses_data(DiskId a, DiskId b) const override {
     return a / group_ == b / group_;
   }
-
- private:
-  [[nodiscard]] DiskId partner(DiskId failed, std::uint64_t salt,
-                               std::size_t j) const override;
 };
 
 /// Declustered parity: each stripe's g−1 partner units are spread over
@@ -143,10 +152,6 @@ class DeclusteredScheme final : public ParityScheme {
   [[nodiscard]] bool loses_data(DiskId a, DiskId b) const override {
     return a != b;
   }
-
- private:
-  [[nodiscard]] DiskId partner(DiskId failed, std::uint64_t salt,
-                               std::size_t j) const override;
 };
 
 /// Throw std::invalid_argument unless `config` is satisfiable on

@@ -600,7 +600,8 @@ class ArraySimulator {
   /// rebuild → idle (a later producer must be strictly earlier to win). A
   /// producer with nothing pending reports kNeverTime, so a subsystem that
   /// is not in use never wins and never costs more than this comparison.
-  [[nodiscard]] Deferred next_deferred() const {
+  /// Not const: reading the idle heap's minimum settles its top.
+  [[nodiscard]] Deferred next_deferred() {
     Deferred next{fault_cursor_ < fault_events_.size()
                       ? fault_events_[fault_cursor_].time
                       : kNeverTime,
@@ -608,9 +609,11 @@ class ArraySimulator {
     if (const Seconds r = rebuild_.next_time(); r < next.time) {
       next = {r, Source::kRebuild};
     }
-    const IdleTimerHeap& idle = ctx_.idle_timer_;
-    if (!idle.empty() && idle.next_time() < next.time) {
-      next = {idle.next_time(), Source::kIdle};
+    IdleTimerHeap& idle = ctx_.idle_timer_;
+    if (!idle.empty()) {
+      if (const Seconds i = idle.next_time(); i < next.time) {
+        next = {i, Source::kIdle};
+      }
     }
     return next;
   }

@@ -1,11 +1,19 @@
 // idle_timer.h — per-disk armed-deadline timers for DPM idle checks.
 //
 // The simulator's one idle scheduler. It holds exactly ONE live deadline
-// per disk in an indexed binary min-heap keyed by DiskId: serving a disk
-// re-arms its deadline *in place* (a sift within the heap, no allocation),
-// and background I/O disarms it explicitly. Heap traffic therefore scales
-// with actual spin-down decisions, not with requests, and every popped
-// deadline is live.
+// per disk in an indexed binary min-heap keyed by DiskId, and background
+// I/O disarms it explicitly.
+//
+// Re-arming is lazy. Every serve re-arms its disk, almost always to a
+// later deadline, so arm() only records the disk's armed (deadline, seq)
+// and touches the heap when the entry is new or the deadline moves
+// earlier. A heap entry's key may therefore lag behind its disk's armed
+// key, but never exceeds it. next_time() and pop() settle the top first:
+// while the top's key is older than the armed one, they rewrite it and
+// sift it down. The settled top's armed key is then no later than any
+// heap key, hence no later than any armed key: it is the true minimum.
+// Heap traffic therefore scales with spin-down decisions and deadlines
+// that come due, not with requests, and every popped deadline is live.
 //
 // Determinism: entries order by (deadline, seq). The caller passes a
 // monotonically increasing sequence number on every arm, so simultaneous
@@ -30,8 +38,8 @@ class IdleTimerHeap {
   /// Reset to `disks` slots, all disarmed.
   void resize(std::size_t disks) {
     pos_.assign(disks, kUnarmed);
-    time_.assign(disks, Seconds{0.0});
-    seq_.assign(disks, 0);
+    armed_.assign(disks, Key{});
+    key_.assign(disks, Key{});
     heap_.clear();
   }
 
@@ -44,9 +52,11 @@ class IdleTimerHeap {
   }
 
   /// Earliest armed deadline (undefined when empty — check empty() first).
-  [[nodiscard]] Seconds next_time() const {
+  /// Settles the heap's top, so it is not const.
+  [[nodiscard]] Seconds next_time() {
     PR_PRECONDITION(!empty(), "IdleTimerHeap::next_time: no timer armed");
-    return time_[heap_.front()];
+    settle_top();
+    return armed_[heap_.front()].time;
   }
 
   /// Arm (or re-arm in place) the timer for `disk`. `seq` must come from a
@@ -55,18 +65,18 @@ class IdleTimerHeap {
   void arm(std::uint32_t disk, Seconds deadline, std::uint64_t seq) {
     PR_PRECONDITION(disk < pos_.size(),
                     "IdleTimerHeap::arm: disk id out of range");
-    time_[disk] = deadline;
-    seq_[disk] = seq;
+    armed_[disk] = Key{deadline, seq};
     if (pos_[disk] == kUnarmed) {
+      key_[disk] = armed_[disk];
       pos_[disk] = heap_.size();
       heap_.push_back(disk);
       sift_up(pos_[disk]);
-    } else {
-      // In-place re-arm: the new deadline may sit on either side of the
-      // old one (READ doubles H upward; a busier completion time can move
-      // either way), so try both directions.
-      const std::size_t i = sift_up(pos_[disk]);
-      sift_down(i);
+    } else if (deadline < key_[disk].time) {
+      // Moving earlier breaks "heap key <= armed key": sift now. A later or
+      // equal deadline (seq only grows) leaves the old key as a lower
+      // bound for settle_top() to raise when it reaches the top.
+      key_[disk] = armed_[disk];
+      sift_up(pos_[disk]);
     }
   }
 
@@ -89,8 +99,12 @@ class IdleTimerHeap {
   /// Remove and return the earliest deadline.
   Deadline pop() {
     PR_PRECONDITION(!empty(), "IdleTimerHeap::pop: no timer armed");
+    settle_top();
     const std::uint32_t disk = heap_.front();
-    const Deadline out{disk, time_[disk]};
+    PR_INVARIANT(key_[disk].time == armed_[disk].time &&
+                     key_[disk].seq == armed_[disk].seq,
+                 "IdleTimerHeap::pop: popped deadline is not the last armed");
+    const Deadline out{disk, armed_[disk].time};
     pos_[disk] = kUnarmed;
     const std::uint32_t last = heap_.back();
     heap_.pop_back();
@@ -105,9 +119,24 @@ class IdleTimerHeap {
  private:
   static constexpr std::size_t kUnarmed = ~std::size_t{0};
 
+  struct Key {
+    Seconds time{0.0};
+    std::uint64_t seq = 0;
+  };
+
+  /// Raise stale keys at the top until the top's key is its armed one.
+  void settle_top() {
+    for (;;) {
+      const std::uint32_t d = heap_.front();
+      if (key_[d].seq == armed_[d].seq) return;
+      key_[d] = armed_[d];
+      sift_down(0);
+    }
+  }
+
   [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const {
-    if (time_[a] != time_[b]) return time_[a] < time_[b];
-    return seq_[a] < seq_[b];
+    if (key_[a].time != key_[b].time) return key_[a].time < key_[b].time;
+    return key_[a].seq < key_[b].seq;
   }
 
   std::size_t sift_up(std::size_t i) {
@@ -140,10 +169,10 @@ class IdleTimerHeap {
     pos_[d] = i;
   }
 
-  std::vector<std::uint32_t> heap_;  // disk ids, heap-ordered
+  std::vector<std::uint32_t> heap_;  // disk ids, ordered by key_
   std::vector<std::size_t> pos_;     // disk -> index in heap_, or kUnarmed
-  std::vector<Seconds> time_;        // disk -> armed deadline
-  std::vector<std::uint64_t> seq_;   // disk -> arm sequence (tie-break)
+  std::vector<Key> armed_;           // disk -> last armed (deadline, seq)
+  std::vector<Key> key_;             // disk -> heap key, <= armed_[disk]
 };
 
 }  // namespace pr

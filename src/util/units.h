@@ -1,11 +1,17 @@
 // units.h — lightweight strongly-named scalar quantities used across the
-// simulator. We deliberately keep these as thin wrappers (value semantics,
-// constexpr, no virtual anything) so they vanish at -O2 while still making
-// interfaces self-documenting: a function taking `Seconds` cannot silently
-// receive milliseconds.
+// simulator. They are thin wrappers (value semantics, constexpr, no virtual
+// anything) that make interfaces self-documenting: a function taking
+// `Seconds` cannot silently receive milliseconds.
+//
+// Arithmetic and comparison on a Quantity compile to the plain double
+// operations. Quantity defines `==, <, <=, >, >=` directly on the value
+// rather than defaulting `operator<=>`: GCC 12 builds every `a < b` from a
+// defaulted `<=>` as a partial_ordering (two compares, two branches) and
+// `std::max` as `comisd` plus branches instead of `maxsd`. The results are
+// the raw-double ones: NaN makes every ordered compare false and
+// -0.0 == +0.0.
 #pragma once
 
-#include <compare>
 #include <cstdint>
 #include <limits>
 
@@ -22,7 +28,21 @@ class Quantity {
 
   [[nodiscard]] constexpr Rep value() const { return value_; }
 
-  constexpr auto operator<=>(const Quantity&) const = default;
+  friend constexpr bool operator==(Quantity a, Quantity b) {
+    return a.value_ == b.value_;
+  }
+  friend constexpr bool operator<(Quantity a, Quantity b) {
+    return a.value_ < b.value_;
+  }
+  friend constexpr bool operator<=(Quantity a, Quantity b) {
+    return a.value_ <= b.value_;
+  }
+  friend constexpr bool operator>(Quantity a, Quantity b) {
+    return a.value_ > b.value_;
+  }
+  friend constexpr bool operator>=(Quantity a, Quantity b) {
+    return a.value_ >= b.value_;
+  }
 
   constexpr Quantity& operator+=(Quantity o) {
     value_ += o.value_;

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <set>
+
 #include "disk/geometry.h"
 #include "disk/service_model.h"
 #include "disk/telemetry.h"
+#include "workload/synthetic.h"
 
 namespace pr {
 namespace {
@@ -115,6 +120,53 @@ TEST(Disk, ServeComputesCompletionAndQueues) {
   EXPECT_NEAR(c2.value(), c1.value() + 1.0083, 1e-4);
   EXPECT_EQ(d.ledger().requests, 2u);
   EXPECT_EQ(d.ledger().bytes_served, 2u * 31 * kMiB);
+}
+
+/// serve() on a fresh disk starts at 0, so its completion, busy time and
+/// energy are service_cost()'s time and energy to the bit; a second serve
+/// queued behind it completes at first + time, again to the bit.
+void expect_serve_costs_match(const TwoSpeedDiskParams& p, Bytes bytes) {
+  for (const DiskSpeed s : {DiskSpeed::kLow, DiskSpeed::kHigh}) {
+    SCOPED_TRACE(testing::Message() << to_string(s) << " speed, " << bytes
+                                    << " bytes");
+    const ServiceCost ref = service_cost(p.mode(s == DiskSpeed::kHigh), bytes);
+    Disk d(0, p, s);
+    const Seconds first = d.serve(Seconds{0.0}, bytes);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(first.value()),
+              std::bit_cast<std::uint64_t>(ref.time.value()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(d.ledger().busy_time.value()),
+              std::bit_cast<std::uint64_t>(ref.time.value()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(d.ledger().energy.value()),
+              std::bit_cast<std::uint64_t>(ref.energy.value()));
+    const Seconds second = d.serve(Seconds{0.0}, bytes);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(second.value()),
+              std::bit_cast<std::uint64_t>((first + ref.time).value()));
+  }
+}
+
+TEST(Disk, CachedServiceConstantsMatchServiceCostBitForBit) {
+  std::set<Bytes> sizes{0, 1, 512, 8 * kKiB, Bytes{1} << 40};
+  const FileSet light = generate_fileset(worldcup98_light_config());
+  for (const FileInfo& f : light.files()) {
+    sizes.insert(f.size);
+  }
+  ASSERT_GT(sizes.size(), 100u);
+
+  // A custom disk whose rpm, transfer rates and seeks are not round, so
+  // 30 / rpm and MiB/s × 2^20 both round.
+  TwoSpeedDiskParams odd = params();
+  odd.low.rpm = 3'917.3;
+  odd.high.rpm = 10'033.7;
+  odd.low.transfer_mib_per_s = 17.31;
+  odd.high.transfer_mib_per_s = 51.77;
+  odd.low.avg_seek = Seconds{7.13e-3};
+  odd.high.avg_seek = Seconds{4.91e-3};
+  ASSERT_NO_THROW(validate(odd));
+
+  for (const Bytes bytes : sizes) {
+    expect_serve_costs_match(params(), bytes);
+    expect_serve_costs_match(odd, bytes);
+  }
 }
 
 TEST(Disk, RejectsNegativeArrival) {

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -292,6 +294,74 @@ TEST(ParityLayout, ExhaustiveDegradedReadsAndRebuildSources) {
               EXPECT_EQ(load[d], d == f ? 0 : g - 1)
                   << where << " window " << start << " disk " << d;
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The closed-form partner functions the partner walk replaced, kept as the
+// oracle: partner j ∈ [0, g−1) of `failed` for stripe `salt`.
+DiskId raid5_partner_oracle(std::size_t g, DiskId failed, std::size_t j) {
+  // The j-th member of failed's group, skipping failed itself.
+  const std::size_t member = (failed / g) * g + j;
+  return static_cast<DiskId>(member >= failed ? member + 1 : member);
+}
+
+DiskId declustered_partner_oracle(std::size_t n, DiskId failed,
+                                  std::uint64_t salt, std::size_t j) {
+  // 64-bit arithmetic: salt + j wraps past 2^64 for the top salts.
+  const std::size_t offset = 1 + ((salt + j) % (n - 1));
+  return static_cast<DiskId>((failed + offset) % n);
+}
+
+// Every n ≤ 16, every valid group, every failed disk and the salts where a
+// walk could slip — the ring's start and end, an arbitrary salt and the
+// top g salts, where salt + j wraps — must name exactly the partners the
+// closed form names, in order, through both rebuild_sources (64-bit salts)
+// and degraded_read (file-id salts).
+TEST(ParityLayout, PartnerWalkMatchesClosedForm) {
+  constexpr Bytes kBytes = 512;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (std::size_t n = 2; n <= 16; ++n) {
+    SimConfig sc;
+    sc.disk_params = two_speed_cheetah();
+    sc.disk_count = n;
+    const FileSet files = two_files();
+    ArrayContext ctx(sc, files);
+    for (std::size_t g = 2; g <= n; ++g) {
+      std::vector<std::uint64_t> salts{0, 1, n - 2, n - 1, 12345};
+      for (std::uint64_t k = 0; k < g; ++k) salts.push_back(kMax - k);
+      std::vector<std::unique_ptr<ParityScheme>> layouts;
+      if (n % g == 0) layouts.push_back(std::make_unique<Raid5Scheme>(n, g));
+      layouts.push_back(std::make_unique<DeclusteredScheme>(n, g));
+      for (const auto& layout : layouts) {
+        const bool raid5 = layout->name() == "raid5";
+        for (DiskId f = 0; f < n; ++f) {
+          FaultState one;
+          one.resize(n);
+          fail(one, f);
+          for (const std::uint64_t salt : salts) {
+            const std::string where =
+                layout->name() + " n=" + std::to_string(n) + " g=" +
+                std::to_string(g) + " failed=" + std::to_string(f) +
+                " salt=" + std::to_string(salt);
+            std::vector<DiskId> want;
+            for (std::size_t j = 0; j + 1 < g; ++j) {
+              want.push_back(raid5 ? raid5_partner_oracle(g, f, j)
+                                   : declustered_partner_oracle(n, f, salt, j));
+            }
+            std::vector<DiskId> sources;
+            layout->rebuild_sources(one, f, salt, sources);
+            EXPECT_EQ(sources, want) << where;
+            if (salt > std::numeric_limits<FileId>::max()) continue;
+            std::vector<StripeChunk> serves;
+            ASSERT_TRUE(layout->degraded_read(ctx, one,
+                                              static_cast<FileId>(salt),
+                                              kBytes, f, serves))
+                << where;
+            EXPECT_EQ(disks_of(serves), want) << where;
           }
         }
       }

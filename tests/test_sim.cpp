@@ -80,45 +80,121 @@ TEST(IdleTimerHeap, DisarmRemovesAndIsIdempotent) {
   EXPECT_EQ(h.pop().disk, 2u);
 }
 
+/// Brute-force reference for IdleTimerHeap: the latest (deadline, seq) per
+/// disk, seq 0 meaning unarmed.
+class LinearScanOracle {
+ public:
+  explicit LinearScanOracle(std::size_t disks) : latest_(disks, {0.0, 0}) {}
+
+  void arm(std::uint32_t d, double t, std::uint64_t seq) {
+    latest_[d] = {t, seq};
+  }
+  void disarm(std::uint32_t d) { latest_[d] = {0.0, 0}; }
+  [[nodiscard]] bool armed(std::uint32_t d) const {
+    return latest_[d].second != 0;
+  }
+  [[nodiscard]] double deadline(std::uint32_t d) const {
+    return latest_[d].first;
+  }
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(
+        std::count_if(latest_.begin(), latest_.end(),
+                      [](const auto& e) { return e.second != 0; }));
+  }
+  /// Disk with the smallest (deadline, seq); latest_.size() when empty.
+  [[nodiscard]] std::size_t front() const {
+    std::size_t want = latest_.size();
+    for (std::size_t d = 0; d < latest_.size(); ++d) {
+      if (latest_[d].second == 0) continue;
+      if (want == latest_.size() || latest_[d] < latest_[want]) want = d;
+    }
+    return want;
+  }
+
+ private:
+  std::vector<std::pair<double, std::uint64_t>> latest_;
+};
+
+/// A copy of `h` reports the oracle's minimum from next_time() and then
+/// drains in the oracle's (deadline, seq) order. Works on copies, so the
+/// lazily re-armed keys of `h` itself stay as the operations left them.
+void expect_drains_like(const IdleTimerHeap& h, LinearScanOracle oracle) {
+  ASSERT_EQ(h.size(), oracle.size());
+  IdleTimerHeap peek = h;
+  if (!peek.empty()) {
+    EXPECT_EQ(peek.next_time().value(),
+              oracle.deadline(static_cast<std::uint32_t>(oracle.front())));
+  }
+  IdleTimerHeap drain = h;
+  while (!drain.empty()) {
+    const auto want = static_cast<std::uint32_t>(oracle.front());
+    const auto got = drain.pop();
+    ASSERT_EQ(got.disk, want);
+    ASSERT_EQ(got.time.value(), oracle.deadline(want));
+    oracle.disarm(want);
+  }
+  EXPECT_EQ(oracle.size(), 0u);
+}
+
 TEST(IdleTimerHeap, StressMatchesLinearScanOracle) {
-  // Randomized arm/re-arm/disarm sequence: the surviving deadlines must
-  // drain in (deadline, seq) order, checked against a brute-force linear
-  // scan over the latest arm per disk.
+  // Randomized arm / re-arm / disarm / pop / next_time sequence, checked
+  // against a brute-force linear scan over the latest arm per disk after
+  // every operation. Re-arms move a deadline later (the lazy case), earlier
+  // (an immediate sift), or to the same time (a seq tie), and disarms often
+  // hit a disk whose heap key is stale.
   constexpr std::size_t kDisks = 16;
   IdleTimerHeap h;
   h.resize(kDisks);
-  std::vector<std::pair<double, std::uint64_t>> latest(
-      kDisks, {0.0, 0});  // (deadline, seq) of surviving arm, seq 0 = unarmed
+  LinearScanOracle oracle(kDisks);
   Rng rng(2024);
   std::uint64_t seq = 1;
-  for (int i = 0; i < 2000; ++i) {
+  for (int i = 0; i < 4000; ++i) {
     const auto d = static_cast<std::uint32_t>(rng() % kDisks);
-    if (rng() % 8 == 0) {
-      h.disarm(d);
-      latest[d] = {0.0, 0};
-    } else {
-      // Coarse times force ties across disks.
-      const double t = static_cast<double>(rng() % 64);
+    const auto arm = [&](double t) {
       h.arm(d, Seconds{t}, seq);
-      latest[d] = {t, seq};
+      oracle.arm(d, t, seq);
       ++seq;
+    };
+    // Coarse times force ties across disks.
+    const double coarse = static_cast<double>(rng() % 64);
+    switch (rng() % 8) {
+      case 0:
+        h.disarm(d);
+        oracle.disarm(d);
+        break;
+      case 1:  // later
+        arm(oracle.armed(d) ? oracle.deadline(d) + 1.0 + coarse : coarse);
+        break;
+      case 2:  // earlier
+        arm(oracle.armed(d) ? oracle.deadline(d) - 1.0 - coarse : coarse);
+        break;
+      case 3:  // same time: only the seq moves
+        arm(oracle.armed(d) ? oracle.deadline(d) : coarse);
+        break;
+      case 4:  // later, then disarm while the heap key is stale
+        arm(oracle.armed(d) ? oracle.deadline(d) + 2.0 : coarse);
+        h.disarm(d);
+        oracle.disarm(d);
+        break;
+      case 5:
+        if (!h.empty()) {
+          const auto want = static_cast<std::uint32_t>(oracle.front());
+          ASSERT_EQ(h.next_time().value(), oracle.deadline(want));
+          const auto got = h.pop();
+          ASSERT_EQ(got.disk, want);
+          ASSERT_EQ(got.time.value(), oracle.deadline(want));
+          oracle.disarm(want);
+        }
+        break;
+      default:
+        arm(coarse);
+        break;
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_drains_like(h, oracle)) << "step " << i;
+    for (std::uint32_t k = 0; k < kDisks; ++k) {
+      ASSERT_EQ(h.armed(k), oracle.armed(k));
     }
   }
-  const auto armed = static_cast<std::size_t>(std::count_if(
-      latest.begin(), latest.end(), [](const auto& e) { return e.second != 0; }));
-  EXPECT_EQ(h.size(), armed);
-  for (std::size_t left = armed; left > 0; --left) {
-    std::size_t want = kDisks;
-    for (std::size_t d = 0; d < kDisks; ++d) {
-      if (latest[d].second == 0) continue;
-      if (want == kDisks || latest[d] < latest[want]) want = d;
-    }
-    const auto got = h.pop();
-    EXPECT_EQ(got.disk, want);
-    EXPECT_DOUBLE_EQ(got.time.value(), latest[want].first);
-    latest[want] = {0.0, 0};
-  }
-  EXPECT_TRUE(h.empty());
 }
 
 // ----------------------------------------------------------------- fixtures
