@@ -15,9 +15,11 @@
 namespace pr {
 
 struct ControlConfig {
-  /// Master switch. When false the simulator neither aggregates epoch
-  /// windows nor interns any control.* counter — output is byte-identical
-  /// to a build without the control subsystem.
+  /// Master switch, read only by the engine: when true the simulator
+  /// builds a control window (and with it a ControlLoop, which validates
+  /// the knobs below). When false it builds none, so it neither aggregates
+  /// epoch windows nor interns any control.* counter, and output is
+  /// byte-identical to a build without the control subsystem.
   bool enabled = false;
 
   // --- target-latency proportional controller (knob: spin-down H) ------

@@ -43,7 +43,7 @@ void validate(const ControlConfig& c) {
 }  // namespace
 
 ControlLoop::ControlLoop(ControlConfig config) : config_(config) {
-  if (config_.enabled) validate(config_);
+  validate(config_);
 }
 
 bool ControlLoop::persists(int* streak, int direction) const {
@@ -61,7 +61,6 @@ bool ControlLoop::persists(int* streak, int direction) const {
 
 ControlDecision ControlLoop::update(const ControlInputs& in) {
   ControlDecision out;
-  if (!config_.enabled) return out;
 
   // Target-latency proportional controller -> idleness-threshold scale.
   // Idle epochs (no requests) carry no latency signal and reset the

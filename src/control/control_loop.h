@@ -4,13 +4,14 @@
 //
 // Layering: control sits *below* the engine in the architecture DAG
 // (tools/detlint/layers.ini), so this class never touches the simulator.
-// It is a pure component — the simulator aggregates one ControlInputs
-// window per epoch, calls update(), and actuates the returned
-// ControlDecision itself (idleness thresholds via the DPM table, the
-// hot-zone size via Policy::on_control, the epoch length via its own
-// boundary stride). That inversion is what keeps every controller
-// trivially deterministic: fixed-order scalar arithmetic over one input
-// struct, no clocks, no state the simulator cannot replay.
+// It is a pure component — the simulator's ControlWindow
+// (sim/epoch_driver.h) aggregates one ControlInputs window per epoch,
+// calls update(), and actuates the returned ControlDecision itself
+// (idleness thresholds via the DPM table, the hot-zone size via
+// Policy::on_control, the epoch length via the epoch driver's stride).
+// That inversion is what keeps every controller trivially deterministic:
+// fixed-order scalar arithmetic over one input struct, no clocks, no
+// state the simulator cannot replay.
 //
 // Oscillation control is two-layered and shared by all three
 // controllers: a hysteresis dead band (errors within ±hysteresis of the
@@ -63,9 +64,8 @@ struct ControlDecision {
 
 class ControlLoop {
  public:
-  /// Validates the config (std::invalid_argument) when it is enabled; a
-  /// disabled config is accepted untouched so the simulator can hold a
-  /// ControlLoop unconditionally.
+  /// Validates the config (std::invalid_argument). The simulator builds a
+  /// loop only for a run with control switched on.
   explicit ControlLoop(ControlConfig config);
 
   /// Fold one epoch window into the controllers and return the knob

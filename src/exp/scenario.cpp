@@ -520,12 +520,10 @@ void validate_scenario(const ScenarioSpec& spec) {
                                   "': [control] does not compose with "
                                   "[fleet]");
     }
-    ControlConfig config = spec.control.config;
-    config.enabled = true;
     try {
       // ControlLoop's constructor owns the knob validation; a bad
       // [control] section fails here, before any cell runs.
-      (void)ControlLoop(config);
+      (void)ControlLoop(spec.control.config);
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument("scenario '" + spec.name +
                                   "': [control] " + e.what());

@@ -9,12 +9,19 @@
 // live, which disk serves a request, what happens at epoch boundaries, and
 // whether a proposed spin-down is allowed.
 //
+// Layout: this header is the public surface (SimConfig, ArrayContext,
+// Policy, run_simulation). The engine's units sit behind it:
+// sim/array_simulator.h (the private driver class; array_sim.cpp holds its
+// request loop and event dispatch), sim/planner.h (the request planner),
+// sim/epoch_driver.h (the epoch clock and the feedback-control window) and
+// sim/idle_timer.h (the DPM idle-check heap).
+//
 // Determinism: arrivals are replayed in trace order; every request goes
-// through one plan-then-book dispatch path — the request planner
-// (sim/planner.h) turns the policy's chunks into a plan against the live
-// fault state (a non-striped route() is a one-chunk stripe), and the
-// simulator admits, books and serves that plan. Policies receive callbacks
-// at well-defined points only. Deferred events come from three producers — the fault plan's
+// through one plan-then-book dispatch path — the request planner turns the
+// policy's chunks into a plan against the live fault state (a non-striped
+// route() is a one-chunk stripe), and the simulator admits, books and
+// serves that plan. Policies receive callbacks at well-defined points
+// only. Deferred events come from three producers — the fault plan's
 // cursor, the rebuild scheduler and the per-disk idle-timer heap (FIFO
 // among equal deadlines) — merged by one function in a fixed order. At one
 // instant τ: epoch boundaries <= τ, then fault events, then rebuild steps,
@@ -49,6 +56,7 @@ struct SimConfig {
   TwoSpeedDiskParams disk_params;
   std::size_t disk_count = 8;
   /// Epoch length P for the policies' periodic redistribution (Fig. 6).
+  /// Must be finite and > 0 (run_simulation throws std::invalid_argument).
   Seconds epoch{3600.0};
   /// How per-disk operating temperature is attributed for PRESS.
   TemperatureAttribution temperature_attribution =
@@ -68,11 +76,13 @@ struct SimConfig {
   /// background rebuild of failed disks; it takes precedence over
   /// Policy::redundancy().
   RedundancyConfig redundancy;
-  /// Feedback control (control/control_config.h). Disabled (default)
-  /// preserves today's behavior byte-for-byte: fixed epoch length, fixed
-  /// DPM thresholds, no admission window, no control.* counters. Enabled,
-  /// the simulator folds one telemetry window per epoch into a
-  /// ControlLoop and actuates its knob decisions between epochs.
+  /// Feedback control (control/control_config.h). Disabled (default), the
+  /// simulator builds no control window: fixed epoch length, fixed DPM
+  /// thresholds, no admission window, no control.* counters, and the other
+  /// knobs are neither read nor validated. Enabled, it builds a
+  /// ControlWindow (sim/epoch_driver.h) that folds one telemetry window
+  /// per epoch into a ControlLoop and actuates its knob decisions at the
+  /// epoch boundaries.
   ControlConfig control;
 };
 
@@ -81,7 +91,10 @@ class Policy;
 /// The policy-facing view of the running simulation.
 class ArrayContext {
  public:
-  ArrayContext(const SimConfig& config, const FileSet& files);
+  /// `observer` (optional) receives the hooks the context and the engine
+  /// emit; the simulator passes the run's observer.
+  ArrayContext(const SimConfig& config, const FileSet& files,
+               SimObserver* observer = nullptr);
 
   // --- observation ---------------------------------------------------
   [[nodiscard]] std::size_t disk_count() const { return disks_.size(); }
@@ -144,7 +157,10 @@ class ArrayContext {
   [[nodiscard]] CounterRegistry& counters() { return counters_; }
 
  private:
+  // The engine's own units (sim/array_simulator.h, sim/epoch_driver.h).
   friend class ArraySimulator;
+  friend class EpochDriver;
+  friend class ControlWindow;
 
   /// (Re-)arm the idle-check deadline for `d` at completion + H, in place
   /// in the disk's timer slot.

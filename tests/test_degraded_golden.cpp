@@ -204,6 +204,29 @@ TEST(DegradedGolden, ControlledRaid5FailStopOnEpochBoundary) {
   EXPECT_EQ(run.jsonl, 2977480775716578141ULL) << "JSONL stream hash drifted";
 }
 
+// The control paths the case above leaves out: admission shedding and the
+// energy-budget controller resizing online-read's hot zone, with a
+// slowdown stretching one disk's backlog past the admission window.
+// Captured before the epoch clock and the control window moved out of
+// ArraySimulator into sim/epoch_driver.h.
+TEST(DegradedGolden, ControlledOnlineReadShedsAndResizesHotZone) {
+  SimConfig sc = array_config();
+  sc.epoch = Seconds{150.0};
+  sc.control.enabled = true;
+  sc.control.admit_window_s = 0.02;
+  sc.control.energy_budget_w = 80.0;
+  const FaultPlan plan = FaultPlan::from_events({
+      FaultEvent{Seconds{300.0}, 0, FaultKind::kSlowdown, 4.0},
+  });
+  const DegradedRun run = run_degraded(sc, "online-read", plan);
+  EXPECT_GT(counter(run.sim, "control.shed_requests"), 0u);
+  EXPECT_GT(counter(run.sim, "control.hot_grows") +
+                counter(run.sim, "control.hot_shrinks"),
+            0u);
+  EXPECT_EQ(run.result, 12387855850623278813ULL) << "result dump hash drifted";
+  EXPECT_EQ(run.jsonl, 17923901449409384902ULL) << "JSONL stream hash drifted";
+}
+
 #else
 
 TEST(DegradedGolden, SkippedOffX86) {

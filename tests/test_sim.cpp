@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -584,6 +586,25 @@ TEST(ArraySim, EpochAccessCountsResetEachEpoch) {
   (void)run_simulation(cfg, files, trace, policy);
   // Epoch at 20 saw exactly the single request at t=15.
   EXPECT_EQ(policy.last_epoch_requests_, 1u);
+}
+
+TEST(ArraySim, RejectsEpochThatIsNotFiniteAndPositive) {
+  // A zero or negative stride would never pass the first arrival (the run
+  // would hang), NaN would never fire a boundary, and +inf would never
+  // fire one either: the entry point refuses all four before any request.
+  const auto files = two_files();
+  const auto trace = trace_of({{1.0, 0}, {12.0, 1}});
+  for (const double epoch : {0.0, -1.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    auto cfg = config(2);
+    cfg.epoch = Seconds{epoch};
+    ProbePolicy policy({});
+    EXPECT_THROW((void)run_simulation(cfg, files, trace, policy),
+                 std::invalid_argument)
+        << epoch;
+    EXPECT_EQ(policy.epochs_, 0) << epoch;
+  }
 }
 
 // -------------------------------------------------------------- migrations
