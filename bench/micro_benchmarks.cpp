@@ -109,7 +109,7 @@ void BM_DegradedRead(benchmark::State& state) {
   double t = 0.0;
   for (auto _ : state) {
     t += 0.01;
-    const Request req{Seconds{t}, 0, 8 * kKiB};
+    const Request req{.arrival = Seconds{t}, .file = 0, .size = 8 * kKiB};
     chunks.assign(1, StripeChunk{0, req.size});
     plan_request(ctx, faults, scheme.get(), req, std::move(chunks), plan);
     Seconds done{0.0};

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "sim/array_simulator.h"
@@ -13,6 +15,21 @@ namespace pr {
 /// Large enough to amortize the virtual dispatch, small enough that a
 /// batch of Requests stays resident in L1.
 constexpr std::size_t kRequestBatch = 256;
+
+namespace {
+
+constexpr const char* kNonFiniteArrival =
+    "run_simulation: trace has a non-finite arrival";
+constexpr const char* kUnsorted = "run_simulation: trace is not sorted";
+
+/// Cold path of the per-request arrival check. A non-finite arrival
+/// outranks an inversion, as in run_simulation(Trace)'s upfront pass.
+[[noreturn, gnu::noinline]] void throw_bad_arrival(Seconds arrival) {
+  throw std::invalid_argument(
+      std::isfinite(arrival.value()) ? kUnsorted : kNonFiniteArrival);
+}
+
+}  // namespace
 
 // ArraySimulator's helpers are defined `inline` below, as they were when
 // the class was defined in this file: with the hint GCC folds serve_on
@@ -87,8 +104,10 @@ SimResult ArraySimulator::run_with(Window& window) {
   arm_initial_idle_checks();
 
   Seconds horizon{0.0};
-  Seconds last_arrival{0.0};
-  bool any_requests = false;
+  // The lowest finite double, so the first arrival passes the order check
+  // below unless it is -inf or NaN.
+  Seconds last_arrival{std::numeric_limits<double>::lowest()};
+  constexpr Seconds kMaxArrival{std::numeric_limits<double>::max()};
   SimObserver* const obs = ctx_.observer_;
 
   recompute_wake_hint();
@@ -108,16 +127,18 @@ SimResult ArraySimulator::run_with(Window& window) {
     const Request& req = batch[bi];
     // Incremental input validation: a streaming source has no upfront
     // pass, so the materialized path's contract errors are re-raised
-    // here, verbatim, the moment a violation arrives.
-    if (any_requests && req.arrival < last_arrival) {
-      throw std::invalid_argument("run_simulation: trace is not sorted");
+    // here, verbatim, the moment a violation arrives. Two compares catch
+    // an inversion, NaN (every comparison with it is false), -inf (below
+    // the lowest finite start) and +inf.
+    if (!(req.arrival >= last_arrival && req.arrival <= kMaxArrival))
+        [[unlikely]] {
+      throw_bad_arrival(req.arrival);
     }
     if (req.file == kInvalidFile || req.file >= files_.size()) {
       throw std::invalid_argument(
           "run_simulation: trace references unknown file");
     }
     last_arrival = req.arrival;
-    any_requests = true;
 
     if (!(req.arrival < ctx_.wake_hint_)) {
       advance_until(req.arrival, window);
@@ -204,9 +225,8 @@ SimResult ArraySimulator::run_with(Window& window) {
   }
   }
 
-  if (any_requests) {
-    horizon = std::max(horizon, last_arrival);
-  }
+  // Without requests last_arrival is still the lowest double, a no-op.
+  horizon = std::max(horizon, last_arrival);
   // Trailing events inside the horizon still count (a final spin-down
   // whose idle window closed before the last completion, a fault that
   // strikes between the last arrival and the last completion).
@@ -533,21 +553,22 @@ SimResult run_simulation(const SimConfig& config, const FileSet& files,
                          const Trace& trace, Policy& policy,
                          SimObserver* observer, const FaultPlan* faults) {
   // Upfront validation preserves the historical contract that a bad trace
-  // throws before the policy runs initialize(). One pass gathers both
-  // conditions, and an inversion anywhere outranks an unknown file id,
-  // even one that comes earlier in the trace.
+  // throws before the policy runs initialize(). One pass gathers all three
+  // conditions, and they rank by kind, not position: a non-finite arrival
+  // anywhere outranks an inversion, which outranks an unknown file id.
+  bool non_finite = false;
   bool unsorted = false;
   bool unknown_file = false;
   Seconds last = trace.requests.empty() ? Seconds{}
                                         : trace.requests.front().arrival;
   for (const auto& r : trace.requests) {
+    non_finite |= !std::isfinite(r.arrival.value());
     unsorted |= r.arrival < last;
     unknown_file |= r.file == kInvalidFile || r.file >= files.size();
     last = r.arrival;
   }
-  if (unsorted) {
-    throw std::invalid_argument("run_simulation: trace is not sorted");
-  }
+  if (non_finite) throw std::invalid_argument(kNonFiniteArrival);
+  if (unsorted) throw std::invalid_argument(kUnsorted);
   if (unknown_file) {
     throw std::invalid_argument(
         "run_simulation: trace references unknown file");

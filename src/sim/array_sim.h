@@ -310,12 +310,13 @@ class Policy {
 /// Drive `policy` over the requests `source` produces, against an array
 /// built from `config`. This is the primary entry point: the simulator
 /// *pulls* one request at a time (bounded-memory ingestion, structural
-/// backpressure) and validates incrementally — arrivals must be
-/// non-decreasing and every file must be in `files`, or it throws the
-/// same std::invalid_argument the materialized path always did
-/// ("run_simulation: trace is not sorted" / "... references unknown
-/// file"). std::logic_error on policy contract violations (unplaced file,
-/// bad route target).
+/// backpressure) and validates incrementally — arrivals must be finite
+/// and non-decreasing and every file must be in `files`, or it throws the
+/// std::invalid_argument the materialized path throws ("run_simulation:
+/// trace has a non-finite arrival" / "... trace is not sorted" / "...
+/// references unknown file"), at the first request that violates one;
+/// within a request they rank in that order. std::logic_error on policy
+/// contract violations (unplaced file, bad route target).
 ///
 /// `observer` (optional) receives the hook stream described in
 /// obs/observer.h; pass nullptr for the zero-overhead fast path. Use
@@ -338,7 +339,9 @@ class Policy {
 /// Materialized-trace adapter: validate `trace` up front (so contract
 /// errors surface before the policy initializes, exactly as before the
 /// streaming redesign) and replay it through a TraceSource. Byte-identical
-/// to the historical vector path — the goldens pin this.
+/// to the historical vector path — the goldens pin this. The errors rank
+/// by kind over the whole trace: a non-finite arrival anywhere, then an
+/// inversion anywhere, then an unknown file id.
 [[nodiscard]] SimResult run_simulation(const SimConfig& config,
                                        const FileSet& files,
                                        const Trace& trace, Policy& policy,

@@ -56,6 +56,9 @@ Trace read_csv_trace(std::istream& in) {
                              "', expected '" + kHeader + "'");
   }
   Trace trace;
+  // A file is counted first, so the vector is allocated once at its final
+  // size; a pipe cannot be counted and grows as it is read.
+  if (const auto rows = count_csv_rows(in)) trace.requests.reserve(*rows);
   std::size_t line_no = 1;
   while (std::getline(in, line)) {
     ++line_no;

@@ -23,7 +23,9 @@ void write_csv_trace_file(const Trace& trace, const std::string& path);
 /// time (throws std::runtime_error otherwise, since the simulator assumes
 /// ordered arrivals). Rows go through parse_csv_row (stream_reader.h), the
 /// parser CsvStreamSource uses, so both readers accept the same rows; only
-/// this reader also accepts a final row without a trailing newline.
+/// this reader also accepts a final row without a trailing newline. A
+/// seekable stream (any file) is counted before it is parsed, so the trace
+/// ends with capacity() == size(); a pipe grows as it is read.
 [[nodiscard]] Trace read_csv_trace(std::istream& in);
 [[nodiscard]] Trace read_csv_trace_file(const std::string& path);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cfloat>
 #include <cstdint>
+#include <istream>
 #include <iterator>
 #include <locale>
 #include <ostream>
@@ -143,6 +144,26 @@ std::string_view trim_ws(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
+}
+
+/// Lines of `in` from its current position that are not `blank` once one
+/// trailing CR is stripped; rewinds `in` to that position. nullopt when
+/// `in` cannot tell its position (a pipe or terminal).
+template <class Blank>
+std::optional<std::size_t> count_rows(std::istream& in, Blank blank) {
+  const std::streampos start = in.tellg();
+  if (start == std::streampos(-1)) return std::nullopt;
+  std::size_t rows = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::string_view view = line;
+    if (!view.empty() && view.back() == '\r') view.remove_suffix(1);
+    if (!blank(view)) ++rows;
+  }
+  if (in.bad()) throw std::runtime_error("count_rows: read error");
+  in.clear();
+  if (!in.seekg(start)) throw std::runtime_error("count_rows: cannot rewind");
+  return rows;
 }
 
 }  // namespace
@@ -369,6 +390,16 @@ bool JsonlStreamSource::parse_line(std::string_view line, Request& out) {
   check_sorted(r.arrival);
   out = r;
   return true;
+}
+
+// The blank rules are the ones the readers' parse_line skips by.
+std::optional<std::size_t> count_csv_rows(std::istream& in) {
+  return count_rows(in, [](std::string_view line) { return line.empty(); });
+}
+
+std::optional<std::size_t> count_jsonl_rows(std::istream& in) {
+  return count_rows(in,
+                    [](std::string_view line) { return trim_ws(line).empty(); });
 }
 
 void write_jsonl_trace(const Trace& trace, std::ostream& out) {

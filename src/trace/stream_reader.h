@@ -54,6 +54,7 @@
 #include <cstddef>
 #include <fstream>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -164,6 +165,18 @@ class JsonlStreamSource final : public LineStreamSource {
  protected:
   bool parse_line(std::string_view line, Request& out) override;
 };
+
+/// Rows left in `in` that the matching reader would deliver: the lines
+/// that are not blank once one trailing CR is stripped, where blank means
+/// empty for CSV and only spaces and tabs for JSONL. A CSV header must
+/// already be consumed. Used to size a materialized trace before filling
+/// it, so the vector ends with capacity() == size() and the load never
+/// holds a grown copy beside its predecessor. Only a seekable stream is
+/// counted, and it is rewound to where it started; a pipe or terminal
+/// returns nullopt, because it cannot be counted without buffering it.
+/// Throws std::runtime_error when the stream fails to read or rewind.
+[[nodiscard]] std::optional<std::size_t> count_csv_rows(std::istream& in);
+[[nodiscard]] std::optional<std::size_t> count_jsonl_rows(std::istream& in);
 
 /// Write `trace` in the JSONL ingestion schema, arrivals at full precision
 /// (17 significant digits round-trip every finite double, so reading the

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <fstream>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 
 #include "trace/clf.h"
@@ -40,8 +42,10 @@ std::string infer_format(const std::string& path) {
       "'; use an explicit '<format>:' prefix, formats: " + format_names());
 }
 
-Trace drain(RequestSource& source) {
+/// Drain `source`, reserving `rows` up front (0 when they are unknown).
+Trace drain(RequestSource& source, std::size_t rows) {
   Trace trace;
+  trace.requests.reserve(rows);
   Request r;
   while (source.next(r)) trace.requests.push_back(r);
   return trace;
@@ -106,17 +110,37 @@ std::unique_ptr<RequestSource> open(const std::string& spec,
 }
 
 Trace open_trace(const std::string& spec, StreamReaderOptions options) {
+  // Every branch allocates the trace once at its final size, except input
+  // that cannot be counted without buffering it (stdin, pipes).
   const ResolvedSpec resolved = resolve_spec(spec);
-  // The CSV path keeps using the whole-file reader so error text and
-  // behaviour stay exactly what legacy call sites shipped with.
-  if (resolved.format == "csv" && resolved.path != "-") {
-    return read_csv_trace_file(resolved.path);
-  }
+  const bool from_stdin = resolved.path == "-";
   if (resolved.format == "csv") {
-    return read_csv_trace(std::cin);
+    // The whole-file reader keeps the error text and behaviour legacy
+    // call sites shipped with.
+    return from_stdin ? read_csv_trace(std::cin)
+                      : read_csv_trace_file(resolved.path);
   }
-  auto source = open(spec, options);
-  return drain(*source);
+  if (resolved.format == "jsonl") {
+    if (from_stdin) {
+      JsonlStreamSource source(std::cin, "<stdin>", options);
+      return drain(source, 0);
+    }
+    std::ifstream in(resolved.path, std::ios::binary);
+    if (!in) {
+      throw std::runtime_error("stream_reader: cannot open " + resolved.path);
+    }
+    const std::optional<std::size_t> rows = count_jsonl_rows(in);
+    JsonlStreamSource source(in, resolved.path, options);
+    return drain(source, rows.value_or(0));
+  }
+  // The whole-file formats convert into a vector reserved to their record
+  // count; it is returned as is rather than copied through a TraceSource.
+  if (resolved.format == "clf") {
+    return clf_to_trace(from_stdin ? read_clf_records(std::cin)
+                                   : read_clf_records_file(resolved.path));
+  }
+  return wc98_to_trace(from_stdin ? read_wc98_records(std::cin)
+                                  : read_wc98_records_file(resolved.path));
 }
 
 }  // namespace pr::trace

@@ -42,7 +42,11 @@ struct ResolvedSpec {
     const std::string& spec, StreamReaderOptions options = {});
 
 /// Open and fully materialize `spec` (legacy call sites and the stats
-/// pass). Byte-identical to the per-format readers this replaces.
+/// pass). Byte-identical to the per-format readers this replaces. The
+/// trace is allocated once, at its final size (capacity() == size()):
+/// CSV and JSONL files are counted before they are parsed, and wc98/clf
+/// convert into a vector reserved to their record count. Only input that
+/// cannot be counted without buffering it (stdin, a pipe) grows as read.
 [[nodiscard]] Trace open_trace(const std::string& spec,
                                StreamReaderOptions options = {});
 

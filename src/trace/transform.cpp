@@ -1,11 +1,15 @@
 #include "trace/transform.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <unordered_map>
 
 namespace pr {
 
 Trace time_window(const Trace& trace, Seconds from, Seconds to) {
+  if (!std::isfinite(from.value()) || !std::isfinite(to.value())) {
+    throw std::invalid_argument("time_window: bounds must be finite");
+  }
   if (to < from) {
     throw std::invalid_argument("time_window: inverted window");
   }
@@ -28,8 +32,8 @@ Trace head(const Trace& trace, std::size_t n) {
 }
 
 Trace scale_rate(const Trace& trace, double factor) {
-  if (!(factor > 0.0)) {
-    throw std::invalid_argument("scale_rate: factor <= 0");
+  if (!std::isfinite(factor) || !(factor > 0.0)) {
+    throw std::invalid_argument("scale_rate: factor must be finite and > 0");
   }
   Trace out;
   out.requests.reserve(trace.size());
@@ -70,6 +74,9 @@ Trace densify_files(const Trace& trace, std::vector<FileId>* old_ids) {
 
 Trace repeat(const Trace& trace, std::size_t days, Seconds period) {
   if (days == 0) throw std::invalid_argument("repeat: zero days");
+  if (!std::isfinite(period.value()) || !(period > Seconds{0.0})) {
+    throw std::invalid_argument("repeat: period must be finite and > 0");
+  }
   if (!trace.empty() && trace.requests.back().arrival >= period) {
     throw std::invalid_argument(
         "repeat: trace longer than the repetition period");

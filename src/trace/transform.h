@@ -13,6 +13,7 @@
 namespace pr {
 
 /// Requests with arrival in [from, to), rebased so the window starts at 0.
+/// Throws std::invalid_argument for a non-finite bound or to < from.
 [[nodiscard]] Trace time_window(const Trace& trace, Seconds from, Seconds to);
 
 /// First `n` requests (the whole trace if n >= size).
@@ -21,7 +22,7 @@ namespace pr {
 /// Compress (factor > 1) or stretch (factor < 1) the arrival timeline:
 /// arrivals are divided by `factor`, multiplying the request rate by it —
 /// the paper's "heavy = 4x the rate" applied to an existing trace.
-/// Throws std::invalid_argument for factor <= 0.
+/// Throws std::invalid_argument unless factor is finite and > 0.
 [[nodiscard]] Trace scale_rate(const Trace& trace, double factor);
 
 /// Keep only every k-th request (k >= 1) — thinning that preserves the
@@ -38,6 +39,8 @@ namespace pr {
 /// Concatenate `days` copies of a (near-)day trace back to back, each
 /// copy shifted by `period` (e.g. 86,400 s). Request order and per-copy
 /// spacing are preserved exactly — used for multi-day budget studies.
+/// Throws std::invalid_argument for days == 0, a period that is not finite
+/// and > 0, or a trace whose last arrival is not before the period.
 [[nodiscard]] Trace repeat(const Trace& trace, std::size_t days,
                            Seconds period);
 

@@ -158,7 +158,7 @@ TEST(ControlWindow, ShedsStrictlyAboveTheAdmissionWindow) {
   RecordingPolicy policy(log);
   const double backlog = backlog_disk0(ctx);
   ASSERT_GT(backlog, 0.0);
-  const Request req{Seconds{0.0}, 0, 1 * kMiB};
+  const Request req{.arrival = Seconds{0.0}, .file = 0, .size = 1 * kMiB};
 
   ControlConfig at;
   at.admit_window_s = backlog;  // backlog == window: admitted
@@ -193,10 +193,12 @@ TEST(ControlWindow, ShedRequestIsNotFolded) {
 
   // Epoch 0: one shed request. Its backlog is not the window's maximum and
   // the request is not served, so nothing is folded.
-  EXPECT_FALSE(window.admit(Request{Seconds{0.0}, 0, 1 * kMiB}, 0));
+  EXPECT_FALSE(window.admit(
+      Request{.arrival = Seconds{0.0}, .file = 0, .size = 1 * kMiB}, 0));
   epochs.fire_until(Seconds{10.0}, window);
   // Epoch 1: one admitted request on the idle disk, served in 0.25 s.
-  EXPECT_TRUE(window.admit(Request{Seconds{10.0}, 1, 2 * kMiB}, 1));
+  EXPECT_TRUE(window.admit(
+      Request{.arrival = Seconds{10.0}, .file = 1, .size = 2 * kMiB}, 1));
   window.fold(0.25);
   epochs.fire_until(Seconds{20.0}, window);
 

@@ -38,7 +38,9 @@ Trace trace_of(const FileSet& files,
   Trace t;
   for (const auto& [time, file] : arrivals) {
     t.requests.push_back(
-        Request{Seconds{time}, file, files.by_id(file).size});
+        Request{.arrival = Seconds{time},
+                .file = file,
+                .size = files.by_id(file).size});
   }
   return t;
 }
@@ -128,8 +130,8 @@ struct Bench {
   RequestPlan plan(RedundancyScheme* scheme,
                    std::vector<StripeChunk> chunks) {
     RequestPlan p;
-    plan_request(ctx, faults, scheme, Request{Seconds{1.0}, 0, 256 * kKiB},
-                 std::move(chunks), p);
+    const Request req{.arrival = Seconds{1.0}, .file = 0, .size = 256 * kKiB};
+    plan_request(ctx, faults, scheme, req, std::move(chunks), p);
     return p;
   }
 
@@ -238,7 +240,7 @@ TEST(PlanRequest, ReusedPlanIsResetBetweenRequests) {
   Bench bench(8, {2});
   Raid5Scheme raid5(8, 4);
   RequestPlan p;
-  const Request req{Seconds{1.0}, 0, 64 * kKiB};
+  const Request req{.arrival = Seconds{1.0}, .file = 0, .size = 64 * kKiB};
   const std::vector<StripeChunk> degraded{{2, 64 * kKiB}};
   const std::vector<StripeChunk> healthy{{5, 64 * kKiB}};
   plan_request(bench.ctx, bench.faults, &raid5, req,

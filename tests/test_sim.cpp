@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -354,6 +355,96 @@ TEST(ArraySim, UnsortedTraceOutranksEarlierUnknownFile) {
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "run_simulation: trace is not sorted");
   }
+}
+
+/// Static placement that counts initialize() calls.
+class CountingInitPolicy final : public Policy {
+ public:
+  [[nodiscard]] std::string name() const override { return "CountingInit"; }
+  void initialize(ArrayContext& ctx) override {
+    ++initializations;
+    inner_.initialize(ctx);
+  }
+  DiskId route(ArrayContext& ctx, const Request& req) override {
+    return inner_.route(ctx, req);
+  }
+  int initializations = 0;
+
+ private:
+  StaticPolicy inner_;
+};
+
+std::string run_error(const Trace& trace, CountingInitPolicy& policy) {
+  try {
+    (void)run_simulation(config(2), two_files(), trace, policy);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+std::string stream_error(const Trace& trace) {
+  CountingInitPolicy policy;
+  TraceSource source(trace);
+  try {
+    (void)run_simulation(config(2), two_files(), source, policy);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+constexpr const char* kNonFinite =
+    "run_simulation: trace has a non-finite arrival";
+
+TEST(ArraySim, RejectsNonFiniteArrivalOnBothPaths) {
+  // NaN compares false both ways, so an order check alone lets it through.
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double value : bad) {
+    for (std::size_t pos = 0; pos < 3; ++pos) {
+      SCOPED_TRACE("arrival " + std::to_string(value) + " at " +
+                   std::to_string(pos));
+      auto trace = trace_of({{0.0, 0}, {5.0, 1}, {10.0, 0}});
+      trace.requests[pos].arrival = Seconds{value};
+      CountingInitPolicy policy;
+      EXPECT_EQ(run_error(trace, policy), kNonFinite);
+      EXPECT_EQ(policy.initializations, 0);
+      EXPECT_EQ(stream_error(trace), kNonFinite);
+    }
+  }
+}
+
+TEST(ArraySim, NonFiniteArrivalRanksFirst) {
+  // Trace path: by kind over the whole trace. The unknown file comes
+  // first, the inversion next and the NaN last, and the NaN is reported.
+  auto trace = trace_of({{0.0, 0}, {5.0, 1}, {1.0, 0}, {2.0, 1}});
+  trace.requests[0].file = 17;
+  trace.requests[3].arrival =
+      Seconds{std::numeric_limits<double>::quiet_NaN()};
+  CountingInitPolicy policy;
+  EXPECT_EQ(run_error(trace, policy), kNonFinite);
+  trace.requests[3].arrival = Seconds{2.0};
+  EXPECT_EQ(run_error(trace, policy), "run_simulation: trace is not sorted");
+  trace.requests[2].arrival = Seconds{6.0};
+  trace.requests[3].arrival = Seconds{7.0};
+  EXPECT_EQ(run_error(trace, policy),
+            "run_simulation: trace references unknown file");
+  EXPECT_EQ(policy.initializations, 0);
+
+  // Stream path: the first bad request decides; within it a non-finite
+  // arrival outranks both an inversion (-inf) and an unknown file.
+  auto stream = trace_of({{0.0, 0}, {5.0, 1}});
+  stream.requests[1].arrival =
+      Seconds{-std::numeric_limits<double>::infinity()};
+  stream.requests[1].file = 17;
+  EXPECT_EQ(stream_error(stream), kNonFinite);
+  stream.requests[1].arrival = Seconds{-1.0};
+  EXPECT_EQ(stream_error(stream), "run_simulation: trace is not sorted");
+  stream.requests[1].arrival = Seconds{6.0};
+  EXPECT_EQ(stream_error(stream),
+            "run_simulation: trace references unknown file");
 }
 
 TEST(ArraySim, RejectsPolicyThatLeavesFilesUnplaced) {

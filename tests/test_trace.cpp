@@ -17,10 +17,14 @@ namespace {
 Trace make_small_trace() {
   Trace t;
   t.requests = {
-      {Seconds{0.0}, 0, 1000, RequestKind::kRead},
-      {Seconds{0.5}, 1, 2000, RequestKind::kRead},
-      {Seconds{1.0}, 0, 1000, RequestKind::kWrite},
-      {Seconds{2.0}, 2, 500, RequestKind::kRead},
+      {.arrival = Seconds{0.0}, .file = 0, .kind = RequestKind::kRead,
+       .size = 1000},
+      {.arrival = Seconds{0.5}, .file = 1, .kind = RequestKind::kRead,
+       .size = 2000},
+      {.arrival = Seconds{1.0}, .file = 0, .kind = RequestKind::kWrite,
+       .size = 1000},
+      {.arrival = Seconds{2.0}, .file = 2, .kind = RequestKind::kRead,
+       .size = 500},
   };
   return t;
 }

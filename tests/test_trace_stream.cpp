@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -29,6 +30,7 @@
 #include "trace/stream_reader.h"
 #include "trace/trace_reader.h"
 #include "trace/trace_stats.h"
+#include "trace/wc98.h"
 #include "util/fmt.h"
 #include "workload/synthetic.h"
 
@@ -775,6 +777,97 @@ TEST(TraceReaderTest, OpenTraceMatchesTheLegacyCsvReader) {
   EXPECT_TRUE(source->streaming());
   expect_same_requests(drain(*source), legacy.requests);
   std::remove(path.c_str());
+}
+
+/// open_trace(path) must equal a drain of open(path), request by request,
+/// and hold no growth slack.
+void expect_materialized_equals_streamed(const std::string& path) {
+  SCOPED_TRACE(path);
+  const Trace loaded = trace::open_trace(path);
+  auto source = trace::open(path);
+  const std::vector<Request> streamed = drain(*source);
+  ASSERT_EQ(loaded.size(), streamed.size());
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    ASSERT_TRUE(loaded.requests[i] == streamed[i]) << "request " << i;
+  }
+  EXPECT_EQ(loaded.requests.capacity(), loaded.size());
+}
+
+TEST(TraceReaderTest, MaterializedLoadEqualsItsStreamingTwinWithNoSlack) {
+  SyntheticWorkloadConfig config = golden_workload_config();
+  config.request_count = 20'000;
+  const auto workload = generate_workload(config);
+  const std::string csv = testing::TempDir() + "materialized_twin.csv";
+  const std::string jsonl = testing::TempDir() + "materialized_twin.jsonl";
+  write_csv_trace_file(workload.trace, csv);
+  write_jsonl_trace_file(workload.trace, jsonl);
+  expect_materialized_equals_streamed(csv);
+  expect_materialized_equals_streamed(jsonl);
+  EXPECT_EQ(trace::open_trace(csv).size(), 20'000u);
+  std::remove(csv.c_str());
+  std::remove(jsonl.c_str());
+}
+
+TEST(TraceReaderTest, Wc98LoadsHoldNoSlack) {
+  std::vector<Wc98Record> records;
+  for (std::uint32_t i = 0; i < 1'000; ++i) {
+    Wc98Record r;
+    r.timestamp = 894'000'000u + (i * 7919u) % 300u;  // out of order
+    r.object_id = i % 53;
+    r.size = i % 11 == 0 ? kWc98UnknownSize : 100 + i;
+    records.push_back(r);
+  }
+  const Trace converted = wc98_to_trace(records);
+  EXPECT_EQ(converted.size(), records.size());
+  EXPECT_EQ(converted.requests.capacity(), converted.size());
+
+  const std::string path = testing::TempDir() + "no_slack.wc98";
+  {
+    std::ofstream out(path, std::ios::binary);
+    write_wc98_records(records, out);
+  }
+  expect_materialized_equals_streamed(path);
+  std::remove(path.c_str());
+}
+
+TEST(TraceReaderTest, RowCountsSkipBlankLinesAndRewind) {
+  // The counts follow the readers' blank rules: CSV skips empty lines (one
+  // trailing CR stripped), JSONL also lines of spaces and tabs.
+  std::istringstream csv(
+      "0,1,10,R\r\n\r\n\n1,2,20,W\n \n2,3,30,R");  // " " is a row
+  ASSERT_EQ(count_csv_rows(csv), std::optional<std::size_t>{4});
+  std::string first;
+  std::getline(csv, first);
+  EXPECT_EQ(first, "0,1,10,R\r");  // rewound to where it started
+
+  std::istringstream jsonl(
+      "{\"t\":0,\"file\":1,\"bytes\":1}\n \t\r\n\r\n"
+      "{\"t\":1,\"file\":1,\"bytes\":1}\n");
+  EXPECT_EQ(count_jsonl_rows(jsonl), std::optional<std::size_t>{2});
+  JsonlStreamSource source(jsonl, "jsonl");
+  EXPECT_EQ(drain(source).size(), 2u);
+
+  // A CSV file with separators still loads with no slack.
+  const std::string path = testing::TempDir() + "blank_rows.csv";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "time_s,file_id,bytes,op\r\n0,1,10,R\r\n\r\n\n1,2,20,W";
+  }
+  const Trace loaded = trace::open_trace(path);
+  EXPECT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded.requests.capacity(), 2u);
+  std::remove(path.c_str());
+}
+
+TEST(TraceReaderTest, UnseekableInputIsNotCountedButStillLoads) {
+  GeneratedCsvBuf counted(10);
+  std::istream probe(&counted);
+  EXPECT_EQ(count_csv_rows(probe), std::nullopt);
+
+  GeneratedCsvBuf buf(1'000);
+  std::istream in(&buf);
+  const Trace loaded = read_csv_trace(in);
+  EXPECT_EQ(loaded.size(), 1'000u);
 }
 
 // -------------------------------------- streaming / materialized identity

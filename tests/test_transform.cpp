@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "trace/trace_stats.h"
 #include "workload/synthetic.h"
 
@@ -107,6 +110,44 @@ TEST(Transform, RepeatTilesTheTimeline) {
   EXPECT_DOUBLE_EQ(three.requests[29].arrival.value(), 49.0);
   EXPECT_THROW((void)repeat(t, 0, Seconds{20.0}), std::invalid_argument);
   EXPECT_THROW((void)repeat(t, 2, Seconds{5.0}), std::invalid_argument);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(Transform, TimeWindowRejectsNonFiniteBounds) {
+  // A NaN `from` passes the inversion check (to < from is false).
+  const Trace t = ramp_trace();
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    EXPECT_THROW((void)time_window(t, Seconds{bad}, Seconds{5.0}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)time_window(t, Seconds{0.0}, Seconds{bad}),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW((void)time_window(t, Seconds{-kInf}, Seconds{kInf}),
+               std::invalid_argument);
+  EXPECT_EQ(time_window(t, Seconds{0.0}, Seconds{1e300}).size(), t.size());
+}
+
+TEST(Transform, RepeatRejectsPeriodThatIsNotFiniteAndPositive) {
+  const Trace t = ramp_trace();
+  for (const double bad : {kNaN, kInf, -kInf, 0.0, -20.0}) {
+    EXPECT_THROW((void)repeat(t, 2, Seconds{bad}), std::invalid_argument);
+    // An empty trace has no last arrival to compare with the period, so
+    // only the period check rejects these.
+    EXPECT_THROW((void)repeat(Trace{}, 2, Seconds{bad}),
+                 std::invalid_argument);
+  }
+  EXPECT_TRUE(repeat(Trace{}, 2, Seconds{1.0}).empty());
+}
+
+TEST(Transform, ScaleRateRejectsFactorThatIsNotFiniteAndPositive) {
+  // +inf would collapse every arrival to 0.
+  const Trace t = ramp_trace();
+  for (const double bad : {kNaN, kInf, -kInf, 0.0, -2.0}) {
+    EXPECT_THROW((void)scale_rate(t, bad), std::invalid_argument);
+  }
+  EXPECT_EQ(scale_rate(t, 1e-300).size(), t.size());
 }
 
 TEST(Transform, PipelineComposition) {

@@ -60,9 +60,12 @@ TEST(FileSet, ByIdBoundsChecked) {
 TEST(FileSet, FromTraceStats) {
   Trace t;
   t.requests = {
-      {Seconds{0.0}, 0, 1000, RequestKind::kRead},
-      {Seconds{5.0}, 0, 1000, RequestKind::kRead},
-      {Seconds{10.0}, 1, 4000, RequestKind::kRead},
+      {.arrival = Seconds{0.0}, .file = 0, .kind = RequestKind::kRead,
+       .size = 1000},
+      {.arrival = Seconds{5.0}, .file = 0, .kind = RequestKind::kRead,
+       .size = 1000},
+      {.arrival = Seconds{10.0}, .file = 1, .kind = RequestKind::kRead,
+       .size = 4000},
   };
   const auto stats = compute_trace_stats(t);
   const FileSet fs = FileSet::from_trace_stats(stats);
