@@ -9,8 +9,7 @@
 //
 // PR_BENCH_QUICK=1 (the CI quick-bench loop) drops the expensive points
 // and keeps only an 80-disk / 100k-request smoke, so this binary stays
-// sub-second there while local runs record the full family for
-// scripts/bench_snapshot.sh.
+// sub-second there while local runs record the full family.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

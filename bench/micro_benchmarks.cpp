@@ -1,7 +1,7 @@
 // micro_benchmarks — google-benchmark microbenchmarks for the hot paths:
 // idle-timer re-arm, Zipf sampling, disk service, degraded RAID-5 reads,
-// PRESS evaluation, end-to-end simulation throughput, and JSONL event
-// formatting. These guard
+// PRESS evaluation, end-to-end simulation throughput, JSONL event
+// formatting and CSV trace export. These guard
 // against performance regressions that would make the Fig. 7 grid
 // impractical.
 #include <benchmark/benchmark.h>
@@ -348,13 +348,18 @@ const std::vector<double>& read_day_doubles() {
   return values;
 }
 
-/// `%.17g` of one captured value per iteration. Arg 0 is write_double17
-/// (the exact in-place kernel), Arg 1 the std::to_chars reference it
-/// matches.
+/// `%.Pg` of one captured value per iteration. Arg 0 is write_double17
+/// (the exact in-place kernel, P = 17 folded in), Arg 1 the std::to_chars
+/// reference it matches; Args 2 and 3 are the same pair at P = 9, the CSV
+/// trace's arrival precision, through write_double.
 void BM_FormatDouble17(benchmark::State& state) {
   const auto& values = read_day_doubles();
-  const bool reference = state.range(0) == 1;
-  state.SetLabel(reference ? "std::to_chars" : "write_double17");
+  const bool reference = state.range(0) % 2 == 1;
+  const int precision = state.range(0) < 2 ? 17 : 9;
+  const char* name = reference            ? "std::to_chars"
+                     : precision == 17 ? "write_double17"
+                                       : "write_double";
+  state.SetLabel(std::string(name) + " %." + std::to_string(precision) + "g");
   char buf[64];
   std::size_t i = 0;
   for (auto _ : state) {
@@ -363,10 +368,12 @@ void BM_FormatDouble17(benchmark::State& state) {
     char* end = nullptr;
     if (reference) {
       end = std::to_chars(buf, buf + sizeof buf, v,
-                          std::chars_format::general, 17)
+                          std::chars_format::general, precision)
                 .ptr;
-    } else {
+    } else if (precision == 17) {
       end = write_double17(buf, v);
+    } else {
+      end = write_double(buf, v, precision);
     }
     benchmark::DoNotOptimize(buf);
     benchmark::DoNotOptimize(end);
@@ -374,7 +381,7 @@ void BM_FormatDouble17(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FormatDouble17)->Arg(0)->Arg(1);
+BENCHMARK(BM_FormatDouble17)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 /// Discards output, counting the bytes.
 class DiscardBuffer final : public std::streambuf {
@@ -408,6 +415,26 @@ void BM_JsonlRequestLine(benchmark::State& state) {
   state.SetBytesProcessed(sink.bytes);
 }
 BENCHMARK(BM_JsonlRequestLine);
+
+// ---- trace export --------------------------------------------------------
+
+/// write_csv_trace of a wc98-light day of Arg requests into a discarding
+/// stream; items are rows.
+void BM_CsvTraceWrite(benchmark::State& state) {
+  auto wc = worldcup98_light_config(42);
+  wc.request_count = static_cast<std::size_t>(state.range(0));
+  const Trace trace = generate_workload(wc).trace;
+  DiscardBuffer sink;
+  std::ostream out(&sink);
+  for (auto _ : state) {
+    write_csv_trace(trace, out);
+    benchmark::DoNotOptimize(sink.bytes);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+  state.SetBytesProcessed(sink.bytes);
+}
+BENCHMARK(BM_CsvTraceWrite)->Arg(100'000);
 
 }  // namespace
 

@@ -23,7 +23,7 @@
 //
 // PR_BENCH_QUICK=1 (the CI quick-bench loop) scales the request count
 // down ~5× so the binary stays sub-second there; local runs record the
-// full points for scripts/bench_snapshot.sh.
+// full points.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

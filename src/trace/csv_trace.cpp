@@ -1,41 +1,27 @@
 #include "trace/csv_trace.h"
 
 #include <fstream>
-#include <locale>
 #include <sstream>
 #include <stdexcept>
 
+#include "trace/row_writer.h"
 #include "trace/stream_reader.h"
-#include "util/fmt.h"
 
 namespace pr {
 
 namespace {
 constexpr const char* kHeader = "time_s,file_id,bytes,op";
+constexpr std::string_view kHeaderLine = "time_s,file_id,bytes,op\n";
 }
 
 void write_csv_trace(const Trace& trace, std::ostream& out) {
-  out << kHeader << "\n";
-  // Arrivals go through the locale-independent formatter (precision 9
-  // matches the stream precision this replaced); the classic locale keeps
-  // file ids and sizes free of grouping separators.
-  out.imbue(std::locale::classic());
-  for (const auto& r : trace.requests) {
-    out << format_double(r.arrival.value(), 9) << ',' << r.file << ','
-        << r.size << ',' << (r.kind == RequestKind::kRead ? 'R' : 'W')
-        << '\n';
-  }
+  TraceSource source(trace);
+  write_csv_trace(source, out);
 }
 
 void write_csv_trace(RequestSource& source, std::ostream& out) {
-  out << kHeader << "\n";
-  out.imbue(std::locale::classic());
-  Request r;
-  while (source.next(r)) {
-    out << format_double(r.arrival.value(), 9) << ',' << r.file << ','
-        << r.size << ',' << (r.kind == RequestKind::kRead ? 'R' : 'W')
-        << '\n';
-  }
+  detail::write_trace_rows(source, out, detail::TraceRowFormat::kCsv,
+                           kHeaderLine);
 }
 
 void write_csv_trace_file(const Trace& trace, const std::string& path) {

@@ -5,13 +5,11 @@
 #include <cstdint>
 #include <istream>
 #include <iterator>
-#include <locale>
-#include <ostream>
 #include <stdexcept>
 
+#include "trace/row_writer.h"
 #include "util/contracts.h"
 #include "util/csv.h"
-#include "util/fmt.h"
 #include "util/parse.h"
 
 namespace pr {
@@ -403,12 +401,8 @@ std::optional<std::size_t> count_jsonl_rows(std::istream& in) {
 }
 
 void write_jsonl_trace(const Trace& trace, std::ostream& out) {
-  out.imbue(std::locale::classic());
-  for (const auto& r : trace.requests) {
-    out << "{\"t\":" << format_double(r.arrival.value()) << ",\"file\":"
-        << r.file << ",\"bytes\":" << r.size << ",\"op\":\""
-        << (r.kind == RequestKind::kRead ? 'R' : 'W') << "\"}\n";
-  }
+  TraceSource source(trace);
+  detail::write_trace_rows(source, out, detail::TraceRowFormat::kJsonl);
 }
 
 void write_jsonl_trace_file(const Trace& trace, const std::string& path) {

@@ -17,7 +17,6 @@ __extension__ typedef unsigned __int128 U128;
 
 constexpr std::uint64_t k1e8 = 100'000'000ULL;
 constexpr std::uint64_t k1e16 = 10'000'000'000'000'000ULL;
-constexpr std::uint64_t k1e17 = 100'000'000'000'000'000ULL;
 constexpr std::uint64_t kHidden = std::uint64_t{1} << 52;
 
 constexpr int kMinE = detail::kDouble17MinExponent;
@@ -115,27 +114,31 @@ void copy_short(char* dst, const char* src, std::size_t n) {
   }
 }
 
+/// 10^k for k in [0, 17].
+constexpr std::array<std::uint64_t, 18> kPow10 = [] {
+  std::array<std::uint64_t, 18> pow{};
+  pow[0] = 1;
+  for (std::size_t k = 1; k < pow.size(); ++k) pow[k] = pow[k - 1] * 10;
+  return pow;
+}();
+
 /// std::to_chars for everything outside the exact path. It formats into a
 /// local buffer because to_chars may use its whole output range.
-[[gnu::noinline]] char* write_double17_fallback(char* out, double v) {
+[[gnu::noinline]] char* write_double_fallback(char* out, double v,
+                                              int precision) {
   char buf[kDouble17MaxChars];
   const auto res = std::to_chars(buf, buf + sizeof buf, v,
-                                 std::chars_format::general, 17);
-  PR_ASSERT(res.ec == std::errc{}, "write_double17: to_chars overflow");
+                                 std::chars_format::general, precision);
+  PR_ASSERT(res.ec == std::errc{}, "write_double: to_chars overflow");
   const auto n = static_cast<std::size_t>(res.ptr - buf);
   std::memcpy(out, buf, n);
   return out + n;
 }
 
-}  // namespace
-
-std::uint64_t detail::decade_threshold(int e) {
-  PR_PRECONDITION(e >= kMinE && e <= kMaxE,
-                  "decade_threshold: exponent outside the exact band");
-  return kThreshold[static_cast<std::size_t>(e - kMinE)];
-}
-
-char* write_double17(char* out, double v) {
+/// `%.{precision}g` for precision in [1, 17]. Always inlined into its two
+/// entries, so write_double17 runs with the precision folded away.
+[[gnu::always_inline]] inline char* write_double_kernel(char* out, double v,
+                                                        const int precision) {
   const auto bits = std::bit_cast<std::uint64_t>(v);
   const bool negative = (bits >> 63) != 0;
   if ((bits << 1) == 0) {
@@ -147,34 +150,40 @@ char* write_double17(char* out, double v) {
   const int e = biased - 1023;
   // Subnormals, infinities, NaN and binades outside the table.
   if (biased == 0 || e < kMinE || e > kMaxE) {
-    return write_double17_fallback(out, v);
+    return write_double_fallback(out, v, precision);
   }
   const std::uint64_t m = (bits & (kHidden - 1)) | kHidden;
   int x = detail::decade_estimate(e) +
           (m >= kThreshold[static_cast<std::size_t>(e - kMinE)] ? 1 : 0);
-  // [1e17, 2^57): p would be negative.
-  if (x > 16) return write_double17_fallback(out, v);
+  // |v| >= 10^precision: p would be negative.
+  if (x >= precision) return write_double_fallback(out, v, precision);
 
-  // 10^x <= |v| < 10^(x+1), so D = |v| * 10^p, p = 16 - x, lies in
-  // [10^16, 10^17) before rounding; |v| * 10^p = m * 5^p * 2^(e-52+p).
-  const int p = 16 - x;
+  // 10^x <= |v| < 10^(x+1), so D = |v| * 10^p, p = precision - 1 - x, lies
+  // in [10^(precision-1), 10^precision) before rounding;
+  // |v| * 10^p = m * 5^p * 2^(e-52+p).
+  const int p = precision - 1 - x;
   const U128 n = kPow5[static_cast<std::size_t>(p)] * m;
   const int shift = e - 52 + p;
   std::uint64_t digits = 0;
   if (shift >= 0) {
     digits = static_cast<std::uint64_t>(n << shift);
   } else {
-    // The band keeps -shift in [1, 73].
+    // The band keeps -shift in [1, 89].
     const int right = -shift;
     digits = static_cast<std::uint64_t>(n >> right);
     const U128 rem = n & ((U128{1} << right) - 1);
     const U128 half = U128{1} << (right - 1);
     if ((rem > half || (rem == half && (digits & 1) != 0)) &&
-        ++digits == k1e17) {
-      digits = k1e16;
+        ++digits == kPow10[static_cast<std::size_t>(precision)]) {
+      // Rounding carried into the next decade; x may now equal precision,
+      // which the %g layout below writes in exponential form.
+      digits = kPow10[static_cast<std::size_t>(precision - 1)];
       ++x;
     }
   }
+  // Scaled to 17 digits, [10^16, 10^17), so that one layout serves every
+  // precision; the scaling only appends zeros, which the trim drops.
+  digits *= kPow10[static_cast<std::size_t>(17 - precision)];
 
   // One head digit and two 8-digit blocks; len counts the digits left
   // once trailing zeros go. A block's last digit is its highest byte, so
@@ -195,7 +204,7 @@ char* write_double17(char* out, double v) {
   store8(d + 9, lo + kAsciiZeros);
 
   if (negative) *out++ = '-';
-  if (x >= 0 && x < 17) {
+  if (x >= 0 && x < precision) {
     // Fixed, integer part only or with a fraction.
     const auto int_len = static_cast<std::size_t>(x) + 1;
     copy_short(out, d, int_len);
@@ -204,7 +213,7 @@ char* write_double17(char* out, double v) {
     copy_short(out + int_len + 1, d + int_len, len - int_len);
     return out + len + 1;
   }
-  if (x >= -4) {
+  if (x < 0 && x >= -4) {
     // Fixed below 1: "0." and -x-1 zeros, then the digits.
     const auto lead = static_cast<std::size_t>(1 - x);
     // Padded to 17 bytes so that no size class copy_short could pick
@@ -228,11 +237,29 @@ char* write_double17(char* out, double v) {
   return out + 4;
 }
 
+}  // namespace
+
+std::uint64_t detail::decade_threshold(int e) {
+  PR_PRECONDITION(e >= kMinE && e <= kMaxE,
+                  "decade_threshold: exponent outside the exact band");
+  return kThreshold[static_cast<std::size_t>(e - kMinE)];
+}
+
+char* write_double17(char* out, double v) {
+  return write_double_kernel(out, v, 17);
+}
+
+char* write_double(char* out, double v, int precision) {
+  PR_PRECONDITION(precision >= 1 && precision <= kDoubleMaxPrecision,
+                  "write_double: precision outside [1, 17]");
+  return write_double_kernel(out, v, precision);
+}
+
 void append_double(std::string& out, double v, int precision) {
   PR_PRECONDITION(precision > 0, "format_double: precision must be positive");
   char buf[64];
-  if (precision == 17) {
-    out.append(buf, write_double17(buf, v));
+  if (precision <= kDoubleMaxPrecision) {
+    out.append(buf, write_double(buf, v, precision));
     return;
   }
   // 64 bytes hold any sane precision's digits, sign, point and exponent.

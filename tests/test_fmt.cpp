@@ -1,11 +1,14 @@
-// Differential test of util/fmt.h's `%.17g` kernel, write_double17,
-// against std::to_chars(general, 17), the reference it must match byte for
-// byte: seeded random bit patterns plus the edge families where a digit
-// kernel goes wrong (powers of ten, the exact-path band edges, the %g
-// fixed / exponential switch, round-half-even ties, signed zero and
-// non-finite values, every binade's decade threshold). It also recomputes
-// the kernel's exponent table independently and checks that the kernel
-// writes nothing past the pointer it returns.
+// Differential test of util/fmt.h's `%.Pg` kernel against
+// std::to_chars(general, P), the reference it must match byte for byte.
+// write_double17 (P = 17, the round-trip format) gets the deepest sweep:
+// seeded random bit patterns plus the edge families where a digit kernel
+// goes wrong (powers of ten, the exact-path band edges, the %g fixed /
+// exponential switch, round-half-even ties, signed zero and non-finite
+// values, every binade's decade threshold). write_double is swept at every
+// precision in [1, 17] over random and in-band patterns, powers of ten,
+// exact ties and the roundings that carry into exponential form. The test
+// also recomputes the kernel's exponent table independently and checks
+// that the kernel writes nothing past the pointer it returns.
 #include "util/fmt.h"
 
 #include <gtest/gtest.h>
@@ -36,6 +39,11 @@ std::string kernel17(double v) {
   return std::string(buf, write_double17(buf, v));
 }
 
+std::string kernel(double v, int precision) {
+  char buf[kDouble17MaxChars];
+  return std::string(buf, write_double(buf, v, precision));
+}
+
 std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -44,17 +52,21 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 }
 
 /// Compares every value, reporting at most a handful of mismatches by
-/// value and bit pattern; returns the mismatch count.
-std::size_t mismatches(const std::vector<double>& values) {
+/// value and bit pattern; returns the mismatch count. Precision 17 goes
+/// through write_double17, the entry every JSONL emitter calls; the others
+/// through write_double.
+std::size_t mismatches(const std::vector<double>& values,
+                       int precision = 17) {
   std::size_t bad = 0;
   for (const double v : values) {
-    const std::string got = kernel17(v);
-    const std::string want = reference(v);
+    const std::string got =
+        precision == 17 ? kernel17(v) : kernel(v, precision);
+    const std::string want = reference(v, precision);
     if (got == want) continue;
     if (++bad <= 5) {
       ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v)
-                    << ": write_double17 gave '" << got << "', to_chars '"
-                    << want << "'";
+                    << std::dec << " at %." << precision << "g: kernel gave '"
+                    << got << "', to_chars '" << want << "'";
     }
   }
   return bad;
@@ -165,13 +177,6 @@ TEST(FormatDouble17, RoundHalfEvenTies) {
   EXPECT_EQ(kernel17(1234567890123456.75), "1234567890123456.8");
 }
 
-TEST(FormatDouble17, OtherPrecisionsStillUseToChars) {
-  for (const double v : {0.5, 1.0 / 3.0, 123456.789, 1e-7, -2.5e20}) {
-    EXPECT_EQ(format_double(v, 6), reference(v, 6));
-    EXPECT_EQ(format_double(v), reference(v));
-  }
-}
-
 constexpr int kMinE = detail::kDouble17MinExponent;
 constexpr int kMaxE = detail::kDouble17MaxExponent;
 constexpr std::uint64_t kHidden = std::uint64_t{1} << 52;
@@ -244,48 +249,184 @@ TEST(FormatDouble17, EveryBinadeAroundItsThresholdAndEdges) {
   EXPECT_EQ(mismatches(with_negatives(values)), 0u);
 }
 
-TEST(FormatDouble17, WritesNothingPastItsReturnedPointer) {
-  constexpr char kSentinel = '\x7f';
-  constexpr std::size_t kPad = 16;
-  std::vector<double> values = with_negatives(
+/// 10^k for k in [0, 19].
+std::uint64_t pow10(int k) {
+  std::uint64_t p = 1;
+  for (; k > 0; --k) p *= 10;
+  return p;
+}
+
+/// A random pattern whose exponent field lies in the exact band at
+/// `precision`: 2^-54 up to the first binade past 10^precision.
+double in_band(std::uint64_t& state, int precision) {
+  const std::uint64_t r = splitmix64(state);
+  // ceil(precision * log2 10) + 2 binades above 2^0.
+  const auto above = static_cast<std::uint64_t>(precision * 3322 / 1000 + 3);
+  const std::uint64_t biased = 1023 - 54 + (r >> 52) % (54 + above);
+  return std::bit_cast<double>((r & 0x800f'ffff'ffff'ffffULL) |
+                               (biased << 52));
+}
+
+TEST(FormatDouble, MatchesToCharsAtEveryPrecision) {
+  // Sized so the 16 precisions below 17 cost about what the 17-digit
+  // sweep above costs; write_double at 17 is checked on random patterns
+  // in WritesNothingPastItsReturnedPointer.
+  constexpr std::size_t kUniform = 40'000;
+  constexpr std::size_t kInBand = 240'000;
+  std::uint64_t state = 20080415;
+  for (int precision = 1; precision <= 16; ++precision) {
+    std::vector<double> values;
+    values.reserve(kUniform + kInBand);
+    for (std::size_t i = 0; i < kUniform; ++i) {
+      values.push_back(std::bit_cast<double>(splitmix64(state)));
+    }
+    for (std::size_t i = 0; i < kInBand; ++i) {
+      values.push_back(in_band(state, precision));
+    }
+    EXPECT_EQ(mismatches(values, precision), 0u) << "at %." << precision
+                                                  << "g";
+  }
+}
+
+TEST(FormatDouble, PowersOfTenAndNeighboursAtEveryPrecision) {
+  // 10^k - 1 ulp rounds up to 10^k below 17 digits: the 9s rollover that
+  // moves the decimal exponent after rounding.
+  std::vector<double> values;
+  for (int k = -20; k <= 20; ++k) {
+    const double p = std::pow(10.0, k);
+    values.push_back(std::nextafter(p, 0.0));
+    values.push_back(p);
+    values.push_back(std::nextafter(p, HUGE_VAL));
+  }
+  values = with_negatives(values);
+  for (int precision = 1; precision <= 17; ++precision) {
+    EXPECT_EQ(mismatches(values, precision), 0u) << "at %." << precision
+                                                 << "g";
+  }
+}
+
+TEST(FormatDouble, RoundHalfEvenTiesAtEveryPrecision) {
+  // N / 2^j has the decimal digits of N * 5^j, which end in 5 for odd N;
+  // with N * 5^j in [10^P, 10^(P+1)) it is an exact tie at precision P.
+  std::uint64_t state = 11;
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::vector<double> values;
+    std::uint64_t pow5 = 1;
+    for (int j = 1; j <= 20; ++j) {
+      pow5 *= 5;
+      const std::uint64_t first = (pow10(precision) + pow5 - 1) / pow5;
+      const std::uint64_t last = (pow10(precision + 1) - 1) / pow5;
+      if (first > last || last >= (std::uint64_t{1} << 53)) continue;
+      for (int i = 0; i < 2'000; ++i) {
+        std::uint64_t n = first + splitmix64(state) % (last - first + 1);
+        if (n % 2 == 0) n = n + 1 <= last ? n + 1 : n - 1;
+        if (n < first) continue;
+        values.push_back(std::ldexp(static_cast<double>(n), -j));
+      }
+    }
+    EXPECT_FALSE(values.empty()) << "at %." << precision << "g";
+    EXPECT_EQ(mismatches(with_negatives(values), precision), 0u)
+        << "at %." << precision << "g";
+  }
+  EXPECT_EQ(kernel(0.125, 2), "0.12");
+  EXPECT_EQ(kernel(0.375, 2), "0.38");
+  EXPECT_EQ(kernel(2.5, 1), "2");
+}
+
+TEST(FormatDouble, RoundingCarriesIntoExponentialForm) {
+  // The digits round up to 10^P, so the decimal exponent becomes P and %g
+  // switches to exponential form.
+  EXPECT_EQ(kernel(9.5, 1), "1e+01");
+  EXPECT_EQ(kernel(999.5, 3), "1e+03");
+  EXPECT_EQ(kernel(99999.5, 5), "1e+05");
+  EXPECT_EQ(kernel(-999.5, 3), "-1e+03");
+  // A carry that stays in fixed form.
+  EXPECT_EQ(kernel(9.96875, 2), "10");
+  for (const double v : {9.5, 999.5, 99999.5, 9.96875, 0.9990234375}) {
+    for (int precision = 1; precision <= 17; ++precision) {
+      EXPECT_EQ(kernel(v, precision), reference(v, precision))
+          << v << " at %." << precision << "g";
+      EXPECT_EQ(kernel(-v, precision), reference(-v, precision))
+          << -v << " at %." << precision << "g";
+    }
+  }
+}
+
+TEST(FormatDouble, FormatDoubleAndAppendDoubleAtEveryPrecision) {
+  for (const double v : {0.5, 1.0 / 3.0, 123456.789, 1e-7, -2.5e20, 86399.125,
+                         5e-324}) {
+    for (int precision = 1; precision <= 24; ++precision) {
+      EXPECT_EQ(format_double(v, precision), reference(v, precision))
+          << v << " at %." << precision << "g";
+    }
+    std::string appended = "x";
+    append_double(appended, v, 9);
+    EXPECT_EQ(appended.substr(1), reference(v, 9));
+    EXPECT_EQ(appended.front(), 'x');
+  }
+}
+
+constexpr char kSentinel = '\x7f';
+constexpr std::size_t kPad = 16;
+
+TEST(FormatDouble, WritesNothingPastItsReturnedPointer) {
+  std::vector<double> edges = with_negatives(
       {0.0, 1.0, 0.1, 1e-4, 1e-5, 1e16, 1e17, 99999999999999999.0,
-       1234567890123456.25, 0.5, 5e-324, 2.2250738585072009e-308,
-       std::numeric_limits<double>::max(),
+       1234567890123456.25, 0.5, 9.5, 999.5, 99999.5, 5e-324,
+       2.2250738585072009e-308, std::numeric_limits<double>::max(),
        std::numeric_limits<double>::infinity(),
        std::numeric_limits<double>::quiet_NaN()});
   for (int e = kMinE - 2; e <= kMaxE + 2; ++e) {
-    values.push_back(std::ldexp(1.0, e));
-    values.push_back(-from_mantissa(2 * kHidden - 1, e));
+    edges.push_back(std::ldexp(1.0, e));
+    edges.push_back(-from_mantissa(2 * kHidden - 1, e));
   }
-  std::uint64_t state = 1;
-  for (int i = 0; i < 100'000; ++i) {
-    values.push_back(std::bit_cast<double>(splitmix64(state)));
-  }
-  std::size_t longest = 0;
-  std::size_t bad = 0;
-  for (const double v : values) {
-    std::array<char, kPad + kDouble17MaxChars + kPad> buf;
-    buf.fill(kSentinel);
-    char* const first = buf.data() + kPad;
-    char* const end = write_double17(first, v);
-    const auto n = static_cast<std::size_t>(end - first);
-    longest = std::max(longest, n);
-    const bool clean =
-        n <= kDouble17MaxChars &&
-        std::all_of(buf.begin(), buf.begin() + kPad,
-                    [](char c) { return c == kSentinel; }) &&
-        std::all_of(buf.begin() + static_cast<std::ptrdiff_t>(kPad + n),
-                    buf.end(), [](char c) { return c == kSentinel; }) &&
-        std::string(first, end) == reference(v);
-    if (!clean && ++bad <= 5) {
-      ADD_FAILURE() << "bits 0x" << std::hex
-                    << std::bit_cast<std::uint64_t>(v) << ": wrote "
-                    << std::dec << n << " bytes '" << std::string(first, end)
-                    << "' or touched bytes outside them";
+  // write_double17 at 17, write_double at every precision.
+  const auto check = [&](int precision, auto write, std::size_t randoms) {
+    std::vector<double> values = edges;
+    std::uint64_t state = static_cast<std::uint64_t>(precision);
+    for (std::size_t i = 0; i < randoms; ++i) {
+      values.push_back(std::bit_cast<double>(splitmix64(state)));
     }
+    const auto bound = static_cast<std::size_t>(precision) + 7;
+    std::size_t longest = 0;
+    std::size_t bad = 0;
+    for (const double v : values) {
+      std::array<char, kPad + kDouble17MaxChars + kPad> buf;
+      buf.fill(kSentinel);
+      char* const first = buf.data() + kPad;
+      char* const end = write(first, v);
+      const auto n = static_cast<std::size_t>(end - first);
+      longest = std::max(longest, n);
+      const bool clean =
+          n <= bound &&
+          std::all_of(buf.begin(), buf.begin() + kPad,
+                      [](char c) { return c == kSentinel; }) &&
+          std::all_of(buf.begin() + static_cast<std::ptrdiff_t>(kPad + n),
+                      buf.end(), [](char c) { return c == kSentinel; }) &&
+          std::string(first, end) == reference(v, precision);
+      if (!clean && ++bad <= 5) {
+        ADD_FAILURE() << "bits 0x" << std::hex
+                      << std::bit_cast<std::uint64_t>(v) << " at %."
+                      << std::dec << precision << "g: wrote " << n
+                      << " bytes '" << std::string(first, end)
+                      << "' or touched bytes outside them";
+      }
+    }
+    EXPECT_EQ(bad, 0u) << "at %." << precision << "g";
+    // One digit has no point: "-1e-308".
+    EXPECT_EQ(longest, precision == 1 ? bound - 1 : bound)
+        << "at %." << precision << "g";
+  };
+  check(17, [](char* out, double v) { return write_double17(out, v); },
+        100'000);
+  for (int precision = 1; precision <= 17; ++precision) {
+    check(precision,
+          [precision](char* out, double v) {
+            return write_double(out, v, precision);
+          },
+          20'000);
   }
-  EXPECT_EQ(bad, 0u);
-  EXPECT_EQ(longest, kDouble17MaxChars);
+  EXPECT_EQ(kDouble17MaxChars, static_cast<std::size_t>(kDoubleMaxPrecision) + 7);
 }
 
 }  // namespace

@@ -12,9 +12,11 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <locale>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <streambuf>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "exp/scenario.h"
 #include "exp/scenario_engine.h"
 #include "exp/scenario_report.h"
+#include "golden_dump.h"
 #include "obs/jsonl_writer.h"
 #include "trace/csv_trace.h"
 #include "trace/stream_reader.h"
@@ -374,6 +377,148 @@ TEST(JsonlStreamTest, AcceptsReorderedKeysAndDefaultsOp) {
   EXPECT_EQ(out[0].kind, RequestKind::kRead);
   EXPECT_EQ(out[1].kind, RequestKind::kWrite);
   EXPECT_EQ(out[1].arrival.value(), 2.5);
+}
+
+// ------------------------------------------------------- export bytes
+
+/// A seeded 200k-request wc98-light day, the exporters' golden input.
+Trace export_golden_day() {
+  SyntheticWorkloadConfig config = worldcup98_light_config(42);
+  config.request_count = 200'000;
+  return generate_workload(config).trace;
+}
+
+std::string csv_text(const Trace& trace) {
+  std::ostringstream out;
+  write_csv_trace(trace, out);
+  return std::move(out).str();
+}
+
+#if defined(__x86_64__) || defined(_M_X64)
+
+// FNV-1a-64 of the CSV and JSONL renders of export_golden_day(), captured
+// from the ostream-based exporters before rows were built in a block
+// buffer. Like the generator golden, the arrivals are x86-64 libm
+// artifacts, so the comparison is gated on the platform.
+TEST(TraceExportGolden, CsvAndJsonlBytesOfALightDay) {
+  const Trace day = export_golden_day();
+  std::ostringstream jsonl;
+  write_jsonl_trace(day, jsonl);
+  EXPECT_EQ(golden::fnv1a(csv_text(day)), 182396913419656208ULL);
+  EXPECT_EQ(golden::fnv1a(jsonl.str()), 11000944632890649871ULL);
+}
+
+#endif
+
+TEST(TraceExportTest, SourceOverloadWritesTheTraceOverloadsBytes) {
+  const Trace day = export_golden_day();
+  TraceSource source(day);
+  std::ostringstream streamed;
+  write_csv_trace(source, streamed);
+  EXPECT_EQ(streamed.str(), csv_text(day));
+}
+
+/// Yields the first `limit` requests of a trace, then throws.
+class ThrowingSource final : public RequestSource {
+ public:
+  ThrowingSource(const Trace& trace, std::size_t limit)
+      : trace_(trace), limit_(limit) {}
+  [[nodiscard]] std::string describe() const override { return "throwing"; }
+  [[nodiscard]] bool streaming() const override { return true; }
+
+ protected:
+  bool poll(Request& out) override {
+    if (cursor_ == limit_) throw std::runtime_error("source failed");
+    out = trace_.requests.at(cursor_++);
+    return true;
+  }
+
+ private:
+  const Trace& trace_;
+  std::size_t limit_;
+  std::size_t cursor_ = 0;
+};
+
+TEST(TraceExportTest, RowsBeforeASourceThrowsReachTheStream) {
+  const Trace day = export_golden_day();
+  // 0 rows, one row, and enough rows to fill several output blocks.
+  for (const std::size_t rows : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{20'000}}) {
+    Trace head;
+    head.requests.assign(day.requests.begin(),
+                         day.requests.begin() +
+                             static_cast<std::ptrdiff_t>(rows));
+    ThrowingSource source(day, rows);
+    std::ostringstream out;
+    EXPECT_THROW(write_csv_trace(source, out), std::runtime_error);
+    EXPECT_EQ(out.str(), csv_text(head)) << rows << " rows";
+  }
+}
+
+/// Accepts no bytes, so every write to a stream over it fails.
+class RefusingBuffer final : public std::streambuf {
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize) override { return 0; }
+  int overflow(int) override { return traits_type::eof(); }
+};
+
+TEST(TraceExportTest, FailingStreamWithExceptionsSetThrowsInsteadOfTerminating) {
+  const Trace trace = tiny_trace();
+  RefusingBuffer refusing;
+  std::ostream out(&refusing);
+  out.exceptions(std::ios::badbit);
+  EXPECT_THROW(write_csv_trace(trace, out), std::ios_base::failure);
+  out.clear();
+  EXPECT_THROW(write_jsonl_trace(trace, out), std::ios_base::failure);
+  // The source's rows are written first; that write's failure is what
+  // propagates.
+  out.clear();
+  ThrowingSource source(trace, 2);
+  EXPECT_THROW(write_csv_trace(source, out), std::ios_base::failure);
+}
+
+/// Groups thousands with '.' and uses ',' as the decimal point, so any
+/// number formatted through the stream's locale would show it.
+class GroupingPunct final : public std::numpunct<char> {
+ protected:
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+TEST(TraceExportTest, ExportersLeaveTheCallersLocaleAlone) {
+  Trace trace;
+  trace.requests = {
+      {.arrival = Seconds{1234.5678}, .file = 1'234'567, .size = 9'876'543},
+      {.arrival = Seconds{86399.125},
+       .file = 42,
+       .kind = RequestKind::kWrite,
+       .size = 1'000'000'000'000}};
+  const std::locale custom(std::locale::classic(), new GroupingPunct);
+  std::ostringstream classic_jsonl;
+  write_jsonl_trace(trace, classic_jsonl);
+
+  std::ostringstream csv;
+  csv.imbue(custom);
+  write_csv_trace(trace, csv);
+  EXPECT_EQ(csv.str(), csv_text(trace));
+  EXPECT_TRUE(csv.getloc() == custom);
+
+  TraceSource source(trace);
+  std::ostringstream streamed;
+  streamed.imbue(custom);
+  write_csv_trace(source, streamed);
+  EXPECT_EQ(streamed.str(), csv_text(trace));
+  EXPECT_TRUE(streamed.getloc() == custom);
+
+  std::ostringstream jsonl;
+  jsonl.imbue(custom);
+  write_jsonl_trace(trace, jsonl);
+  EXPECT_EQ(jsonl.str(), classic_jsonl.str());
+  EXPECT_TRUE(jsonl.getloc() == custom);
+  // The caller's own numbers still go through its locale.
+  jsonl << 1234567;
+  EXPECT_EQ(jsonl.str(), classic_jsonl.str() + "1.234.567");
 }
 
 // ----------------------------------------------------- error diagnostics
