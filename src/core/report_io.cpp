@@ -5,6 +5,7 @@
 #include <locale>
 #include <sstream>
 
+#include "util/classic_locale.h"
 #include "util/fmt.h"
 
 namespace pr {
@@ -41,10 +42,9 @@ class JsonWriter {
   // Floating values go through util/fmt.h (std::to_chars, precision 17):
   // same bytes as the precision(17) ostream formatting this replaced, but
   // immune to whatever global locale the host process installed. The
-  // classic locale keeps the integer fields free of grouping separators.
-  explicit JsonWriter(std::ostream& out) : out_(out) {
-    out_.imbue(std::locale::classic());
-  }
+  // classic locale keeps the integer fields free of grouping separators
+  // while the writer lives; its end hands the caller's locale back.
+  explicit JsonWriter(std::ostream& out) : out_(out), classic_(out) {}
 
   void key(const std::string& name) {
     comma();
@@ -81,6 +81,7 @@ class JsonWriter {
   }
 
   std::ostream& out_;
+  ClassicLocaleScope classic_;
   bool pending_comma_ = false;
 };
 

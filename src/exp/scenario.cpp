@@ -414,6 +414,29 @@ void validate_scenario(const ScenarioSpec& spec) {
     // malformed values.
     (void)policies::make(p.name, p.params);
   }
+  // Cells are told apart by policy label and workload name, so repeated
+  // sections (the idiom for sweeping a knob or a preset override) must
+  // each carry their own. Pairwise and allocation-free: the lists are
+  // short, and this runs in every run_scenario's set-up.
+  for (std::size_t i = 0; i < spec.policies.size(); ++i) {
+    const std::string_view label = spec.policies[i].display_label();
+    for (std::size_t j = 0; j < i; ++j) {
+      if (label == spec.policies[j].display_label()) {
+        throw std::invalid_argument(
+            "scenario '" + spec.name + "': duplicate policy label '" +
+            std::string(label) + "'; give each [policy] section its own label");
+      }
+    }
+  }
+  for (std::size_t i = 0; i < spec.workloads.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (spec.workloads[i].name == spec.workloads[j].name) {
+        throw std::invalid_argument("scenario '" + spec.name +
+                                    "': duplicate workload name '" +
+                                    spec.workloads[i].name + "'");
+      }
+    }
+  }
   for (const ScenarioWorkload& w : spec.workloads) {
     if (w.kind == "synthetic") {
       (void)preset_workload_config(w.preset, 0);

@@ -19,7 +19,8 @@
 //   epoch = 3600                # seconds; comma list = sweep axis
 //   positioned = false          # seek-curve positional I/O
 //
-//   [workload light]            # repeatable; name defaults to "default"
+//   [workload light]            # repeatable; name defaults to "default";
+//                               # names must be distinct
 //   kind = synthetic            # "trace" (+ path) or "source" (+ spec)
 //   preset = wc98-light         # wc98-light|wc98-heavy|proxy|ftp|email
 //   requests = 80000            # overrides of the preset
@@ -31,7 +32,8 @@
 //   buffer = 1048576            # stream buffer bound in bytes (optional)
 //
 //   [policy read]               # repeatable; registry names or aliases
-//   label = READ                # display label (default: name as written)
+//   label = READ                # display label (default: name as written);
+//                               # labels must be distinct
 //   cap = 40                    # any knob from policies::param_names()
 //
 //   [fault]                     # optional; presence enables injection
@@ -113,6 +115,11 @@ struct ScenarioPolicy {
   std::string name;   ///< registry name (aliases accepted)
   std::string label;  ///< display label; empty = `name` as written
   ParamMap params;    ///< knobs; validated against policies::param_names()
+
+  /// The label cells report: `label`, or `name` when it is empty.
+  [[nodiscard]] std::string_view display_label() const {
+    return label.empty() ? std::string_view(name) : std::string_view(label);
+  }
 };
 
 /// Fault-injection knobs (`[fault]` section): a seeded per-disk
@@ -220,8 +227,8 @@ struct ScenarioSpec {
 [[nodiscard]] ScenarioSpec load_scenario_file(const std::string& path);
 
 /// Cross-field validation (non-empty policies/axes, registry names,
-/// presets, positive values). parse_scenario runs this; code-built specs
-/// get it from the engine.
+/// presets, positive values, distinct policy labels and workload names).
+/// parse_scenario runs this; code-built specs get it from the engine.
 void validate_scenario(const ScenarioSpec& spec);
 
 /// Map the [redundancy] scheme name to its RedundancyKind. Throws

@@ -434,8 +434,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 
     auto policy = factories[cs.policy_idx]();
     ScenarioCell cell;
-    cell.policy =
-        policy_spec.label.empty() ? policy_spec.name : policy_spec.label;
+    cell.policy = policy_spec.display_label();
     cell.workload = workloads[variant.workload_idx].name;
     cell.load = variant.load;
     cell.seed = variant.seed;

@@ -1,11 +1,11 @@
 #include "exp/scenario_report.h"
 
 #include <fstream>
-#include <locale>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/report_io.h"
+#include "util/classic_locale.h"
 #include "util/csv.h"
 #include "util/fmt.h"
 
@@ -125,7 +125,7 @@ void write_scenario_json(const ScenarioResult& result, std::ostream& out,
                          bool include_reports) {
   // Floats are pre-formatted by full(); the classic locale keeps the
   // integer fields free of grouping separators under any global locale.
-  out.imbue(std::locale::classic());
+  const ClassicLocaleScope classic(out);
   out << "{\"scenario\":\"" << json_escape(result.scenario)
       << "\",\"cells\":[";
   bool first = true;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <locale>
 #include <ostream>
 #include <stdexcept>
 
+#include "util/classic_locale.h"
 #include "util/fmt.h"
 
 namespace pr {
@@ -138,7 +138,7 @@ void TimeSeriesRecorder::write_csv(std::ostream& out) const {
          "migrations_in,migrations_out,degraded,lost\n";
   // Floats go through the locale-independent formatter; the classic
   // locale keeps the integer fields free of grouping separators.
-  out.imbue(std::locale::classic());
+  const ClassicLocaleScope classic(out);
   const auto full = [](double v) { return format_double(v, 17); };
   for (std::size_t w = 0; w < windows_.size(); ++w) {
     for (DiskId d = 0; d < windows_[w].size(); ++d) {

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <locale>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 
+#include "util/classic_locale.h"
 #include "util/contracts.h"
 #include "util/fmt.h"
 #include "util/thread_pool.h"
@@ -177,7 +177,7 @@ void FleetTimeSeries::write_csv(std::ostream& out) const {
   out << "window,start_s,disk,requests,bytes,busy_s,utilization,energy_j,"
          "max_backlog_s,transitions_up,transitions_down,high_speed_fraction,"
          "migrations_in,migrations_out,degraded,lost\n";
-  out.imbue(std::locale::classic());
+  const ClassicLocaleScope classic(out);
   const auto full = [](double v) { return format_double(v, 17); };
   for (std::size_t w = 0; w < windows.size(); ++w) {
     const double start = static_cast<double>(w) * window.value();

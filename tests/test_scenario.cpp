@@ -157,6 +157,46 @@ TEST(ScenarioValidate, RejectsBadSpecs) {
   traceless.workloads.push_back(ScenarioWorkload{});
   traceless.workloads[0].kind = "trace";  // no path
   EXPECT_THROW(validate_scenario(traceless), std::invalid_argument);
+
+  // Repeated sections are how a scenario sweeps a knob or a preset
+  // override, so each must carry its own label/name: otherwise their rows
+  // cannot be told apart. The message names the clash.
+  const auto expect_duplicate = [](const ScenarioSpec& bad,
+                                   const std::string& fragment) {
+    try {
+      validate_scenario(bad);
+      ADD_FAILURE() << "expected a duplicate error naming " << fragment;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+          << e.what();
+    }
+  };
+  ScenarioSpec same_label = spec;
+  same_label.policies.push_back({"read", "", {{"cap", "10"}}});
+  expect_duplicate(same_label, "duplicate policy label 'read'");
+  same_label.policies[1].label = "READ-10";
+  EXPECT_NO_THROW(validate_scenario(same_label));
+  // A label equal to another section's bare name clashes too.
+  same_label.policies.push_back({"static", "read", {}});
+  expect_duplicate(same_label, "duplicate policy label 'read'");
+
+  ScenarioSpec same_workload = spec;
+  same_workload.workloads.resize(2);  // both named "default"
+  same_workload.workloads[1].zipf_alpha = 0.2;
+  expect_duplicate(same_workload, "duplicate workload name 'default'");
+  same_workload.workloads[1].name = "a0.2";
+  EXPECT_NO_THROW(validate_scenario(same_workload));
+
+  // The 2x2 file that used to run and write four rows all reading
+  // "read,w".
+  expect_parse_error(
+      "[workload w]\n[workload w]\nzipf_alpha = 0.2\n"
+      "[policy read]\n[policy read]\ncap = 10\n",
+      {"t.ini", "duplicate policy label 'read'"});
+  expect_parse_error(
+      "[workload w]\n[workload w]\nzipf_alpha = 0.2\n"
+      "[policy read]\n[policy read]\nlabel = READ-10\ncap = 10\n",
+      {"t.ini", "duplicate workload name 'w'"});
 }
 
 TEST(ScenarioParse, FaultSection) {

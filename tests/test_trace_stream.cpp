@@ -29,6 +29,8 @@
 #include "exp/scenario_report.h"
 #include "golden_dump.h"
 #include "obs/jsonl_writer.h"
+#include "obs/time_series.h"
+#include "sim/fleet_sim.h"
 #include "trace/csv_trace.h"
 #include "trace/stream_reader.h"
 #include "trace/trace_reader.h"
@@ -519,6 +521,58 @@ TEST(TraceExportTest, ExportersLeaveTheCallersLocaleAlone) {
   // The caller's own numbers still go through its locale.
   jsonl << 1234567;
   EXPECT_EQ(jsonl.str(), classic_jsonl.str() + "1.234.567");
+}
+
+TEST(ReportExportTest, EmittersLeaveTheCallersLocaleAlone) {
+  auto wc = worldcup98_light_config(7);
+  wc.file_count = 200;
+  wc.request_count = 5'000;
+  const auto workload = generate_workload(wc);
+  SystemConfig config;
+  config.sim.disk_count = 4;
+  config.sim.epoch = Seconds{600.0};
+  TimeSeriesRecorder recorder{Seconds{600.0}};
+  const SystemReport report = SimulationSession(config)
+                                  .with_workload(workload)
+                                  .with_policy("read")
+                                  .with_observer(recorder)
+                                  .run();
+  const FleetTimeSeries fleet = merge_time_series({&recorder}, 4);
+
+  ScenarioSpec spec;
+  spec.seeds = {7};
+  spec.disks = {4};
+  spec.epochs = {600.0};
+  ScenarioWorkload small;
+  small.files = 200;
+  small.requests = 5'000;
+  spec.workloads = {small};
+  spec.policies = {{"read", "READ", {}}};
+  const ScenarioResult scenario = run_scenario(spec);
+
+  // Every emitter's integers reach the thousands (5,000 requests, joules),
+  // so a grouping locale left in force would show in the bytes.
+  const std::locale custom(std::locale::classic(), new GroupingPunct);
+  const auto check = [&custom](const char* what, const auto& emit) {
+    SCOPED_TRACE(what);
+    std::ostringstream classic;
+    emit(classic);
+    std::ostringstream out;
+    out.imbue(custom);
+    emit(out);
+    EXPECT_EQ(out.str(), classic.str());
+    EXPECT_TRUE(out.getloc() == custom);
+    out << 1234567;
+    EXPECT_EQ(out.str(), classic.str() + "1.234.567");
+  };
+  check("TimeSeriesRecorder::write_csv",
+        [&](std::ostream& o) { recorder.write_csv(o); });
+  check("FleetTimeSeries::write_csv",
+        [&](std::ostream& o) { fleet.write_csv(o); });
+  check("write_json", [&](std::ostream& o) { write_json(report, o); });
+  check("write_scenario_json", [&](std::ostream& o) {
+    write_scenario_json(scenario, o, /*include_reports=*/true);
+  });
 }
 
 // ----------------------------------------------------- error diagnostics
