@@ -22,11 +22,9 @@
 
 int main() {
   using namespace pr;
-  // The low-traffic day from ABL1 — the regime where DPM actually cycles
-  // and the trade-off is live.
-  auto wc = worldcup98_light_config(42);
-  wc.mean_interarrival = Seconds{0.7};
-  wc.request_count = 120'000;
+  // The quiet day (ABL1's) — the regime where DPM actually cycles and the
+  // trade-off is live.
+  auto wc = worldcup98_quiet_config(42);
   if (bench::quick_mode()) {
     wc.file_count = 1000;
     wc.request_count = 30'000;

@@ -1,5 +1,7 @@
 #include "exp/scenario.h"
 
+#include <array>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -95,6 +97,33 @@ std::vector<std::size_t> parse_size_list(std::string_view value,
     out.push_back(parse_size(item, key));
   }
   return out;
+}
+
+/// Throws naming `axis` and the value if a value repeats an earlier one:
+/// cells are told apart only by their axis values, so a repeat writes
+/// rows that cannot be told apart. `owner` ("scenario", "workload") and
+/// `name` say whose axis it is. Pairwise and allocation-free when every
+/// value is distinct (axes are short, and this runs in every
+/// run_scenario's set-up).
+template <typename T>
+void reject_repeats(const std::vector<T>& values, std::string_view axis,
+                    std::string_view owner, std::string_view name) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (values[i] != values[j]) continue;
+      char text[32];
+      const auto end = std::to_chars(text, text + sizeof text, values[i]).ptr;
+      std::string message(owner);
+      message += " '";
+      message += name;
+      message += "': duplicate ";
+      message += axis;
+      message += " value ";
+      message.append(text, end);
+      message += "; each value on an axis must be distinct";
+      throw std::invalid_argument(message);
+    }
+  }
 }
 
 enum class Section {
@@ -409,6 +438,9 @@ void validate_scenario(const ScenarioSpec& spec) {
       throw std::invalid_argument("scenario '" + spec.name + "': epoch must be > 0");
     }
   }
+  reject_repeats(spec.seeds, "seeds", "scenario", spec.name);
+  reject_repeats(spec.disks, "disks", "scenario", spec.name);
+  reject_repeats(spec.epochs, "epoch", "scenario", spec.name);
   for (const ScenarioPolicy& p : spec.policies) {
     // Throws with the registry's own message for unknown names/keys and
     // malformed values.
@@ -469,6 +501,7 @@ void validate_scenario(const ScenarioSpec& spec) {
         throw std::invalid_argument("workload '" + w.name + "': load must be > 0");
       }
     }
+    reject_repeats(w.loads, "load", "workload", w.name);
   }
   if (spec.fleet.enabled) {
     if (spec.fleet.shards == 0) {
@@ -509,6 +542,8 @@ void validate_scenario(const ScenarioSpec& spec) {
                                     "': fault rate_scale must be >= 0");
       }
     }
+    reject_repeats(spec.fault.rate_scales, "rate_scale", "scenario",
+                   spec.name);
     if (!(spec.fault.mttr_s > 0.0)) {
       throw std::invalid_argument("scenario '" + spec.name +
                                   "': fault mttr must be > 0");
@@ -581,23 +616,38 @@ RedundancyKind scenario_redundancy_kind(const ScenarioRedundancy& r) {
                               "'; valid: raid5, declustered");
 }
 
-std::vector<std::string> workload_presets() {
-  return {"wc98-light", "wc98-heavy", "proxy", "ftp", "email"};
-}
+namespace {
+
+struct Preset {
+  std::string_view name;
+  SyntheticWorkloadConfig (*config)(std::uint64_t seed);
+};
+
+/// The one list of synthetic presets: it drives the lookup and the
+/// "valid:" message.
+constexpr std::array<Preset, 7> kPresets = {{
+    {"wc98-light", worldcup98_light_config},
+    {"wc98-heavy", worldcup98_heavy_config},
+    {"wc98-quiet", worldcup98_quiet_config},
+    {"proxy", proxy_server_config},
+    {"ftp", ftp_mirror_config},
+    {"email", email_server_config},
+    {"media", media_server_config},
+}};
+
+}  // namespace
 
 SyntheticWorkloadConfig preset_workload_config(std::string_view preset,
                                                std::uint64_t seed) {
-  if (preset == "wc98-light") return worldcup98_light_config(seed);
-  if (preset == "wc98-heavy") return worldcup98_heavy_config(seed);
-  if (preset == "proxy") return proxy_server_config(seed);
-  if (preset == "ftp") return ftp_mirror_config(seed);
-  if (preset == "email") return email_server_config(seed);
+  for (const Preset& p : kPresets) {
+    if (p.name == preset) return p.config(seed);
+  }
   std::string message = "unknown workload preset '";
   message += preset;
   message += "'; valid:";
-  for (const std::string& name : workload_presets()) {
+  for (const Preset& p : kPresets) {
     message += ' ';
-    message += name;
+    message += p.name;
   }
   throw std::invalid_argument(message);
 }

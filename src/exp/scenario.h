@@ -22,7 +22,8 @@
 //   [workload light]            # repeatable; name defaults to "default";
 //                               # names must be distinct
 //   kind = synthetic            # "trace" (+ path) or "source" (+ spec)
-//   preset = wc98-light         # wc98-light|wc98-heavy|proxy|ftp|email
+//   preset = wc98-light         # wc98-light|wc98-heavy|wc98-quiet|
+//                               # proxy|ftp|email|media
 //   requests = 80000            # overrides of the preset
 //   files = 1000
 //   load = 1.0                  # comma list = sweep axis
@@ -94,7 +95,8 @@ struct ScenarioWorkload {
   /// through a bounded buffer, re-opened per cell; stdin is rejected
   /// because cells are re-runs).
   std::string kind = "synthetic";
-  /// Synthetic preset: wc98-light | wc98-heavy | proxy | ftp | email.
+  /// Synthetic preset: wc98-light | wc98-heavy | wc98-quiet | proxy |
+  /// ftp | email | media (workload/synthetic.h).
   std::string preset = "wc98-light";
   /// kind == "trace"/"source": a trace::open spec, `[format:]path`.
   std::string path;
@@ -236,12 +238,9 @@ void validate_scenario(const ScenarioSpec& spec);
 [[nodiscard]] RedundancyKind scenario_redundancy_kind(
     const ScenarioRedundancy& redundancy);
 
-/// Known synthetic preset names (wc98-light, wc98-heavy, proxy, ftp,
-/// email).
-[[nodiscard]] std::vector<std::string> workload_presets();
-
-/// Resolve a preset name to its SyntheticWorkloadConfig at `seed`.
-/// Throws std::invalid_argument for unknown presets, listing valid ones.
+/// Resolve a preset name (wc98-light, wc98-heavy, wc98-quiet, proxy, ftp,
+/// email, media) to its SyntheticWorkloadConfig at `seed`. Throws
+/// std::invalid_argument for unknown presets, listing the valid ones.
 [[nodiscard]] SyntheticWorkloadConfig preset_workload_config(
     std::string_view preset, std::uint64_t seed);
 

@@ -183,6 +183,13 @@ SyntheticWorkloadConfig worldcup98_heavy_config(std::uint64_t seed) {
   return c;
 }
 
+SyntheticWorkloadConfig worldcup98_quiet_config(std::uint64_t seed) {
+  SyntheticWorkloadConfig c = worldcup98_light_config(seed);
+  c.mean_interarrival = Seconds{0.7};
+  c.request_count = 120'000;  // ≈ one day at the reduced rate
+  return c;
+}
+
 SyntheticWorkloadConfig proxy_server_config(std::uint64_t seed) {
   // Forward proxy: an order of magnitude more distinct objects with a
   // long cold tail, strong temporal locality (flash crowds), mild mean
@@ -235,6 +242,23 @@ SyntheticWorkloadConfig email_server_config(std::uint64_t seed) {
   c.size_popularity_anticorrelation = 0.1;
   c.diurnal_depth = 0.8;
   c.burstiness = 0.5;
+  return c;
+}
+
+SyntheticWorkloadConfig media_server_config(std::uint64_t seed) {
+  // Media server: few large transfers at a modest rate; video-clip-sized
+  // bodies (median ≈ 4 MiB, capped at 64 MiB), far above a 512 KiB stripe
+  // unit.
+  SyntheticWorkloadConfig c;
+  c.seed = seed;
+  c.file_count = 400;
+  c.request_count = 60'000;
+  c.mean_interarrival = Seconds{1.0};
+  c.zipf_alpha = 0.8;
+  c.size_log_mu = 15.2;
+  c.size_log_sigma = 1.0;
+  c.min_file_bytes = 256 * kKiB;
+  c.max_file_bytes = 64 * kMiB;
   return c;
 }
 

@@ -117,6 +117,11 @@ class SyntheticSource final : public RequestSource {
     std::uint64_t seed = 42);
 [[nodiscard]] SyntheticWorkloadConfig worldcup98_heavy_config(
     std::uint64_t seed = 42);
+/// A quiet day: the light day's files and mix at a 0.7 s mean
+/// inter-arrival (120,000 requests ≈ one day), the regime where idle
+/// windows open, DPM actually cycles and READ's budget S binds.
+[[nodiscard]] SyntheticWorkloadConfig worldcup98_quiet_config(
+    std::uint64_t seed = 42);
 
 /// The other whole-file server workloads §4 names. Same model, different
 /// knobs (documented in synthetic.cpp): a forward proxy (huge cold file
@@ -128,6 +133,10 @@ class SyntheticSource final : public RequestSource {
 [[nodiscard]] SyntheticWorkloadConfig ftp_mirror_config(
     std::uint64_t seed = 42);
 [[nodiscard]] SyntheticWorkloadConfig email_server_config(
+    std::uint64_t seed = 42);
+/// A media server (video clips, office documents): 400 files of
+/// 256 KiB–64 MiB, where RAID-0 striping pays off (paper §6).
+[[nodiscard]] SyntheticWorkloadConfig media_server_config(
     std::uint64_t seed = 42);
 
 }  // namespace pr

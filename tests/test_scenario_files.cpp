@@ -2,9 +2,10 @@
 // PR_SCENARIO_DIR compile definition): every one parses and validates,
 // and the sweeps that replaced hand-written bench loops reproduce, cell
 // for cell and bit for bit, a direct SimulationSession run built the way
-// those loops built theirs: preset_workload_config plus the section's
-// overrides, policies::make(name, params), and cheetah_seek_curve() when
-// the file says positioned.
+// those loops built theirs: the preset's config (stated here by hand for
+// wc98-quiet and media, as the loops stated it before those presets
+// existed) plus the section's overrides, policies::make(name, params),
+// and cheetah_seek_curve() when the file says positioned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,7 +29,9 @@ const std::string kScenarioDir = PR_SCENARIO_DIR;
 /// The files that each replaced a bench program's private loop.
 const std::vector<std::string> kPortedSweeps = {
     "sensitivity_epoch", "robustness_seeds", "sensitivity_skew",
-    "ext_replication", "sensitivity_positional"};
+    "ext_replication", "sensitivity_positional", "ablation_transition_cap",
+    "ablation_adaptive_threshold", "baseline_drpm", "multiday_cap",
+    "ext_striping"};
 
 TEST(ScenarioFiles, EveryShippedFileParsesAndValidates) {
   std::vector<std::string> names;
@@ -53,6 +56,33 @@ TEST(ScenarioFiles, EveryShippedFileParsesAndValidates) {
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The workload config the bench loops built for `preset`: the quiet day
+/// and the media day as they wrote them out, every other preset through
+/// the scenario lookup.
+SyntheticWorkloadConfig loop_workload_config(const std::string& preset,
+                                             std::uint64_t seed) {
+  if (preset == "wc98-quiet") {
+    SyntheticWorkloadConfig c = worldcup98_light_config(seed);
+    c.mean_interarrival = Seconds{0.7};
+    c.request_count = 120'000;
+    return c;
+  }
+  if (preset == "media") {
+    SyntheticWorkloadConfig c;
+    c.file_count = 400;
+    c.request_count = 60'000;
+    c.mean_interarrival = Seconds{1.0};
+    c.zipf_alpha = 0.8;
+    c.size_log_mu = 15.2;
+    c.size_log_sigma = 1.0;
+    c.min_file_bytes = 256 * kKiB;
+    c.max_file_bytes = 64 * kMiB;
+    c.seed = seed;
+    return c;
+  }
+  return preset_workload_config(preset, seed);
+}
 
 std::uint64_t counter(const SimResult& sim, const char* name) {
   const auto it = sim.counters.find(name);
@@ -94,7 +124,7 @@ TEST_P(PortedSweep, CellsMatchDirectSessionRuns) {
         });
     ASSERT_NE(p, spec.policies.end());
 
-    SyntheticWorkloadConfig wc = preset_workload_config(w->preset, cell.seed);
+    SyntheticWorkloadConfig wc = loop_workload_config(w->preset, cell.seed);
     if (w->files) wc.file_count = *w->files;
     if (w->requests) wc.request_count = *w->requests;
     if (w->zipf_alpha) wc.zipf_alpha = *w->zipf_alpha;
@@ -123,6 +153,9 @@ TEST_P(PortedSweep, CellsMatchDirectSessionRuns) {
               bits(want.mean_response_time_s()));
     EXPECT_EQ(bits(got.response_time_sample.quantile(0.99)),
               bits(want.response_time_sample.quantile(0.99)));
+    EXPECT_EQ(got.total_transitions, want.total_transitions);
+    EXPECT_EQ(bits(got.max_transitions_per_day),
+              bits(want.max_transitions_per_day));
     EXPECT_EQ(got.migrations, want.migrations);
     EXPECT_EQ(counter(got, "replication.copy"),
               counter(want, "replication.copy"));
