@@ -1,27 +1,30 @@
 // micro_benchmarks — google-benchmark microbenchmarks for the hot paths:
-// idle-timer re-arm, Zipf sampling, disk service, degraded RAID-5 reads,
-// PRESS evaluation, end-to-end simulation throughput, JSONL event
-// formatting and CSV trace export. These guard
-// against performance regressions that would make the Fig. 7 grid
-// impractical.
+// idle-timer re-arm, Zipf sampling, disk service, degraded parity reads,
+// PRESS evaluation, whole-run simulation throughput (policies, observer,
+// feedback control), JSONL event formatting and CSV trace export. These
+// are structure-level probes; prbench (bench/prbench) owns every
+// end-to-end figure.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <charconv>
+#include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <streambuf>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "control/control_config.h"
+#include "core/registry.h"
 #include "core/session.h"
 #include "core/system.h"
 #include "fault/fault_state.h"
 #include "obs/counter_registry.h"
 #include "obs/jsonl_writer.h"
 #include "obs/time_series.h"
-#include "policy/online_read_policy.h"
-#include "policy/read_policy.h"
 #include "policy/static_policy.h"
 #include "press/press_model.h"
 #include "redundancy/scheme.h"
@@ -82,11 +85,13 @@ void BM_DiskServe(benchmark::State& state) {
 }
 BENCHMARK(BM_DiskServe);
 
-// One reconstructed read as the simulator handles it: RAID-5 over 8 disks
-// (one whole-array group) with disk 0 failed, a request routed to disk 0,
+// One reconstructed read as the simulator handles it: 8 disks in one
+// whole-array parity group with disk 0 failed, a request routed to disk 0,
 // plan_request replacing the chunk with reads of the 7 survivors, then
-// those serves. Structure-level probe for the degraded fan-out that the
-// raid5_degraded prbench workload measures end to end.
+// those serves. Arg 0 is RAID-5 (partners in group order), Arg 1
+// declustered parity (partners walked round the ring). Structure-level
+// probe for the degraded fan-out that the raid5_degraded prbench workload
+// measures end to end.
 void BM_DegradedRead(benchmark::State& state) {
   constexpr std::size_t kDisks = 8;
   SimConfig sim;
@@ -98,7 +103,9 @@ void BM_DegradedRead(benchmark::State& state) {
   faults.resize(kDisks);
   faults.apply(FaultEvent{Seconds{0.0}, 0, FaultKind::kFail, 1.0});
   RedundancyConfig redundancy;
-  redundancy.kind = RedundancyKind::kRaid5;
+  redundancy.kind = state.range(0) == 0 ? RedundancyKind::kRaid5
+                                        : RedundancyKind::kDeclustered;
+  state.SetLabel(to_string(redundancy.kind));
   const auto scheme = make_scheme(redundancy, kDisks);
   std::vector<Disk> disks;
   for (DiskId d = 0; d < kDisks; ++d) {
@@ -120,7 +127,7 @@ void BM_DegradedRead(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DegradedRead);
+BENCHMARK(BM_DegradedRead)->Arg(0)->Arg(1);
 
 void BM_PressDiskAfr(benchmark::State& state) {
   PressModel press;
@@ -147,63 +154,63 @@ void BM_TraceGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGeneration)->Arg(10'000)->Arg(100'000);
 
-void BM_SimulationThroughput(benchmark::State& state) {
+// ---- whole runs ----------------------------------------------------------
+
+/// The synthetic day most whole-run probes replay: the generator's default
+/// mix over 1,000 files, Arg requests.
+SyntheticWorkload mixed_day(const benchmark::State& state) {
   SyntheticWorkloadConfig cfg;
   cfg.file_count = 1'000;
   cfg.request_count = static_cast<std::size_t>(state.range(0));
-  const auto w = generate_workload(cfg);
+  return generate_workload(cfg);
+}
+
+/// A two-speed Cheetah array of `disks` disks.
+SimConfig cheetah_array(std::size_t disks,
+                        Seconds epoch = SimConfig{}.epoch) {
   SimConfig sim;
   sim.disk_params = two_speed_cheetah();
-  sim.disk_count = 8;
+  sim.disk_count = disks;
+  sim.epoch = epoch;
+  return sim;
+}
+
+/// The shared whole-run fixture: per iteration, one run_simulation of a
+/// fresh `policy` (registry name) over `w`, which was generated once
+/// outside the timed loop. With `time_series` a fresh 60 s
+/// TimeSeriesRecorder rides along. Items are requests.
+void simulate(benchmark::State& state, const SimConfig& sim,
+              const SyntheticWorkload& w, std::string_view policy,
+              bool time_series = false) {
+  const PolicyFactory make = policies::make(policy);
   for (auto _ : state) {
-    StaticPolicy policy;
-    benchmark::DoNotOptimize(
-        run_simulation(sim, w.files, w.trace, policy));
+    const std::unique_ptr<Policy> p = make();
+    std::optional<TimeSeriesRecorder> recorder;
+    if (time_series) recorder.emplace(Seconds{60.0});
+    benchmark::DoNotOptimize(run_simulation(
+        sim, w.files, w.trace, *p, recorder ? &*recorder : nullptr));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
+                          static_cast<std::int64_t>(w.trace.size()));
+}
+
+void BM_SimulationThroughput(benchmark::State& state) {
+  simulate(state, cheetah_array(8), mixed_day(state), "static");
 }
 BENCHMARK(BM_SimulationThroughput)->Arg(10'000)->Arg(100'000);
 
 void BM_ReadPolicySimulation(benchmark::State& state) {
-  SyntheticWorkloadConfig cfg;
-  cfg.file_count = 1'000;
-  cfg.request_count = static_cast<std::size_t>(state.range(0));
-  const auto w = generate_workload(cfg);
-  SimConfig sim;
-  sim.disk_params = two_speed_cheetah();
-  sim.disk_count = 8;
-  sim.epoch = Seconds{600.0};
-  for (auto _ : state) {
-    ReadPolicy policy;
-    benchmark::DoNotOptimize(
-        run_simulation(sim, w.files, w.trace, policy));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
+  simulate(state, cheetah_array(8, Seconds{600.0}), mixed_day(state), "read");
 }
 BENCHMARK(BM_ReadPolicySimulation)->Arg(10'000)->Arg(100'000);
 
-// Same loop as BM_SimulationThroughput with a TimeSeriesRecorder attached;
-// the gap to the detached run is the full observability cost (dispatch +
-// ledger deltas + window bucketing). bench/obs_overhead prints the same
-// comparison as a readable table.
+// BM_SimulationThroughput with a TimeSeriesRecorder attached; the gap to
+// the detached run is the full observability cost (dispatch + ledger
+// deltas + window bucketing). prbench's read_day vs jsonl_telemetry is the
+// end-to-end counterpart.
 void BM_SimulationWithTimeSeries(benchmark::State& state) {
-  SyntheticWorkloadConfig cfg;
-  cfg.file_count = 1'000;
-  cfg.request_count = static_cast<std::size_t>(state.range(0));
-  const auto w = generate_workload(cfg);
-  SimConfig sim;
-  sim.disk_params = two_speed_cheetah();
-  sim.disk_count = 8;
-  for (auto _ : state) {
-    StaticPolicy policy;
-    TimeSeriesRecorder recorder{Seconds{60.0}};
-    benchmark::DoNotOptimize(
-        run_simulation(sim, w.files, w.trace, policy, &recorder));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
+  simulate(state, cheetah_array(8), mixed_day(state), "static",
+           /*time_series=*/true);
 }
 BENCHMARK(BM_SimulationWithTimeSeries)->Arg(10'000)->Arg(100'000);
 
@@ -211,23 +218,42 @@ BENCHMARK(BM_SimulationWithTimeSeries)->Arg(10'000)->Arg(100'000);
 // the per-serve counting plus mid-epoch promotions against the O(k)
 // boundary rebalance both share.
 void BM_OnlineReadSimulation(benchmark::State& state) {
-  SyntheticWorkloadConfig cfg;
-  cfg.file_count = 1'000;
-  cfg.request_count = static_cast<std::size_t>(state.range(0));
-  const auto w = generate_workload(cfg);
-  SimConfig sim;
-  sim.disk_params = two_speed_cheetah();
-  sim.disk_count = 8;
-  sim.epoch = Seconds{600.0};
-  for (auto _ : state) {
-    OnlineReadPolicy policy;
-    benchmark::DoNotOptimize(
-        run_simulation(sim, w.files, w.trace, policy));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
+  simulate(state, cheetah_array(8, Seconds{600.0}), mixed_day(state),
+           "online-read");
 }
 BENCHMARK(BM_OnlineReadSimulation)->Arg(10'000)->Arg(100'000);
+
+// What the feedback loop costs a run: per request an admission check and a
+// telemetry accumulate, per epoch one ControlLoop::update and the knob
+// actuation. A wc98-light day (200 files, 100k requests) on 6 disks with
+// 100 s epochs. Arg 0: control off under READ. Arg 1: the target-latency
+// controller driving the spin-down threshold. Arg 2: latency, energy
+// budget, adaptive epoch and admission window together, under online-READ
+// so its per-epoch Zipf re-estimate is in the loop too.
+void BM_ControlSimulation(benchmark::State& state) {
+  auto wc = worldcup98_light_config(42);
+  wc.file_count = 200;
+  wc.request_count = 100'000;
+  SimConfig sim = cheetah_array(6, Seconds{100.0});
+  ControlConfig& c = sim.control;
+  if (state.range(0) >= 1) {
+    c.enabled = true;
+    c.target_rt_ms = 12.0;
+    c.hysteresis = 0.5;
+    c.persistence = 1;
+  }
+  if (state.range(0) == 2) {
+    c.energy_budget_w = 120.0;
+    c.adapt_epoch = true;
+    c.admit_window_s = 2.0;
+  }
+  static constexpr const char* kLabels[] = {"disabled", "latency_only",
+                                            "full_stack"};
+  state.SetLabel(kLabels[state.range(0)]);
+  simulate(state, sim, generate_workload(wc),
+           state.range(0) == 2 ? "online-read" : "read");
+}
+BENCHMARK(BM_ControlSimulation)->Arg(0)->Arg(1)->Arg(2);
 
 // Parse + frame throughput of the bounded-memory CSV reader, excluding
 // simulation: the floor any streaming run pays per request over the

@@ -12,7 +12,12 @@
 #   2. tools/ + bench/ — the entropy and locale-float rules only.
 #      Suppressions are allowed there (a bench may time itself), but
 #      they are counted and reported, never silent.
-#   3. scripts/check_format.sh — advisory formatting check; never fails
+#   3. Stale bench names — every `bench/<name>` (in backticks) or
+#      build/bench/<name> reference in the current docs, the verify skill
+#      and ci.yml must name a bench/<name>.cpp or a bench/<name>/
+#      directory. The history docs (docs/PERFORMANCE.md, ROADMAP.md,
+#      CHANGES.md) are exempt: they quote retired harnesses on purpose.
+#   4. scripts/check_format.sh — advisory formatting check; never fails
 #      the run (the tree predates the config).
 #
 # Usage: scripts/static_checks.sh [build-dir] [dot-output]
@@ -49,6 +54,20 @@ echo "== prlint: tools/ + bench/ (entropy + locale-float, suppressions counted) 
   --select banned-entropy,locale-float \
   --count-suppressions \
   tools bench || STATUS=1
+
+echo "== stale bench references =="
+for doc in README.md DESIGN.md EXPERIMENTS.md docs/OBSERVABILITY.md \
+    docs/MODEL.md docs/ANALYSIS.md .claude/skills/verify/SKILL.md \
+    .github/workflows/ci.yml; do
+  [ -f "$doc" ] || continue
+  for name in $(grep -oE '(`|build/)bench/[A-Za-z0-9_.-]+' "$doc" |
+      sed 's|.*bench/||; s|\.*$||' | sort -u); do
+    if [ ! -e "bench/$name" ] && [ ! -e "bench/$name.cpp" ]; then
+      echo "$doc: bench/$name has no bench/$name.cpp or bench/$name/" >&2
+      STATUS=1
+    fi
+  done
+done
 
 echo "== check_format.sh (advisory) =="
 scripts/check_format.sh || true

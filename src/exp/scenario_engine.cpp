@@ -1,5 +1,6 @@
 #include "exp/scenario_engine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -321,7 +322,36 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
   }
 
-  ThreadPool pool(spec.threads);
+  // ---- enumerate cells in spec order: policy-major, then workload/
+  // load/seed (variant order), then epoch, then disks, then fault rate
+  // scale (a degenerate single-pass axis when no [fault] section) -------
+  const std::size_t scale_count =
+      spec.fault.enabled ? spec.fault.rate_scales.size() : 1;
+  struct CellSpec {
+    std::size_t policy_idx;
+    std::size_t variant_idx;
+    double epoch_s;
+    std::size_t disks;
+    std::size_t scale_idx;
+  };
+  std::vector<CellSpec> cell_specs;
+  cell_specs.reserve(spec.policies.size() * variant_keys.size() *
+                     spec.epochs.size() * spec.disks.size() * scale_count);
+  for (std::size_t pi = 0; pi < spec.policies.size(); ++pi) {
+    for (std::size_t vi = 0; vi < variant_keys.size(); ++vi) {
+      for (const double epoch_s : spec.epochs) {
+        for (const std::size_t disks : spec.disks) {
+          for (std::size_t si = 0; si < scale_count; ++si) {
+            cell_specs.push_back({pi, vi, epoch_s, disks, si});
+          }
+        }
+      }
+    }
+  }
+
+  // No more workers than the larger of the two fan-outs can keep busy.
+  ThreadPool pool(spec.threads,
+                  std::max(variant_keys.size(), cell_specs.size()));
 
   // ---- generate every variant (indexed writes keep this deterministic
   // regardless of completion order) -----------------------------------
@@ -378,33 +408,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   factories.reserve(spec.policies.size());
   for (const ScenarioPolicy& p : spec.policies) {
     factories.push_back(policies::make(p.name, p.params));
-  }
-
-  // ---- enumerate cells in spec order: policy-major, then workload/
-  // load/seed (variant order), then epoch, then disks, then fault rate
-  // scale (a degenerate single-pass axis when no [fault] section) -------
-  const std::size_t scale_count =
-      spec.fault.enabled ? spec.fault.rate_scales.size() : 1;
-  struct CellSpec {
-    std::size_t policy_idx;
-    std::size_t variant_idx;
-    double epoch_s;
-    std::size_t disks;
-    std::size_t scale_idx;
-  };
-  std::vector<CellSpec> cell_specs;
-  cell_specs.reserve(spec.policies.size() * variants.size() *
-                     spec.epochs.size() * spec.disks.size() * scale_count);
-  for (std::size_t pi = 0; pi < spec.policies.size(); ++pi) {
-    for (std::size_t vi = 0; vi < variants.size(); ++vi) {
-      for (const double epoch_s : spec.epochs) {
-        for (const std::size_t disks : spec.disks) {
-          for (std::size_t si = 0; si < scale_count; ++si) {
-            cell_specs.push_back({pi, vi, epoch_s, disks, si});
-          }
-        }
-      }
-    }
   }
 
   ScenarioResult result;

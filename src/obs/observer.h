@@ -2,7 +2,9 @@
 // moment in a run (a request completing, a disk changing speed, an epoch
 // boundary, a file migration) is announced to an optional SimObserver;
 // when none is attached the simulator pays a single null-pointer test per
-// emission point (verified by bench/obs_overhead).
+// emission point (micro_benchmarks' BM_SimulationThroughput vs
+// BM_SimulationWithTimeSeries, and prbench's read_day vs jsonl_telemetry,
+// measure what attaching costs).
 //
 // Ordering contract (all events carry the simulated time they occurred):
 //   * Events are emitted in non-decreasing time order, matching the

@@ -51,8 +51,7 @@ void validate_fleet(const FleetConfig& config) {
   }
 }
 
-SimResult run_shard(const FleetConfig& config, std::uint32_t shard,
-                    const SyntheticWorkload* materialized) {
+SimResult run_shard(const FleetConfig& config, std::uint32_t shard) {
   auto policy = config.policy();
   FaultPlan plan;
   const FaultPlan* faults = nullptr;
@@ -62,11 +61,6 @@ SimResult run_shard(const FleetConfig& config, std::uint32_t shard,
   }
   std::unique_ptr<SimObserver> observer;
   if (config.shard_observer) observer = config.shard_observer(shard);
-  if (materialized != nullptr) {
-    return run_simulation(config.shard, materialized->files,
-                          materialized->trace, *policy, observer.get(),
-                          faults);
-  }
   SyntheticSource source(fleet_shard_workload(config, shard));
   return run_simulation(config.shard, source.files(), source, *policy,
                         observer.get(), faults);
@@ -85,23 +79,6 @@ FleetResult merge_results(const FleetConfig& config,
   PR_INVARIANT(fleet.merged.ledgers.size() == fleet.fleet_disks(),
                "run_fleet: merged ledger count != fleet disk count");
   return fleet;
-}
-
-/// Fan shards across the pool (threads != 1) or run them inline
-/// (threads == 1); indexed writes make completion order irrelevant.
-std::vector<SimResult> for_each_shard(
-    const FleetConfig& config,
-    const std::function<SimResult(std::uint32_t)>& body) {
-  std::vector<SimResult> results(config.shards);
-  if (config.threads == 1) {
-    for (std::uint32_t s = 0; s < config.shards; ++s) results[s] = body(s);
-  } else {
-    ThreadPool pool(config.threads);
-    pool.parallel_for(config.shards, [&](std::size_t s) {
-      results[s] = body(static_cast<std::uint32_t>(s));
-    });
-  }
-  return results;
 }
 
 }  // namespace
@@ -132,45 +109,22 @@ SyntheticWorkloadConfig fleet_shard_workload(const FleetConfig& config,
   return wc;
 }
 
-FleetWorkload materialize_fleet_workload(const FleetConfig& config) {
-  validate_fleet(config);
-  FleetWorkload workload;
-  workload.shards.resize(config.shards);
-  if (config.threads == 1) {
-    for (std::uint32_t s = 0; s < config.shards; ++s) {
-      workload.shards[s] = generate_workload(fleet_shard_workload(config, s));
-    }
-  } else {
-    ThreadPool pool(config.threads);
-    pool.parallel_for(config.shards, [&](std::size_t s) {
-      workload.shards[s] = generate_workload(
-          fleet_shard_workload(config, static_cast<std::uint32_t>(s)));
-    });
-  }
-  return workload;
-}
-
 FleetResult run_fleet(const FleetConfig& config) {
   validate_fleet(config);
-  return merge_results(
-      config, for_each_shard(config, [&](std::uint32_t s) {
-        return run_shard(config, s, nullptr);
-      }));
-}
-
-FleetResult run_fleet(const FleetConfig& config,
-                      const FleetWorkload& workload) {
-  validate_fleet(config);
-  if (workload.shards.size() != config.shards) {
-    throw std::invalid_argument(
-        "run_fleet: materialized workload has " +
-        std::to_string(workload.shards.size()) + " shards, config wants " +
-        std::to_string(config.shards));
+  // Fan shards across the pool (threads != 1) or run them inline
+  // (threads == 1); indexed writes make completion order irrelevant.
+  std::vector<SimResult> results(config.shards);
+  if (config.threads == 1) {
+    for (std::uint32_t s = 0; s < config.shards; ++s) {
+      results[s] = run_shard(config, s);
+    }
+  } else {
+    ThreadPool pool(config.threads, config.shards);
+    pool.parallel_for(config.shards, [&](std::size_t s) {
+      results[s] = run_shard(config, static_cast<std::uint32_t>(s));
+    });
   }
-  return merge_results(
-      config, for_each_shard(config, [&](std::uint32_t s) {
-        return run_shard(config, s, &workload.shards[s]);
-      }));
+  return merge_results(config, std::move(results));
 }
 
 void FleetTimeSeries::write_csv(std::ostream& out) const {

@@ -18,10 +18,8 @@
 //
 // Workload: each shard gets an independent synthetic stream — the config's
 // request_count is the *fleet total*, split evenly across shards (first
-// `total % shards` shards take one extra). By default shards synthesize
-// requests on pull (SyntheticSource: bounded memory at any fleet size);
-// materialize_fleet_workload() pre-generates every shard's trace once for
-// replay-many benchmarking, byte-identical to the streamed path.
+// `total % shards` shards take one extra). Shards synthesize requests on
+// pull (SyntheticSource: bounded memory at any fleet size).
 #pragma once
 
 #include <cstdint>
@@ -90,13 +88,6 @@ struct FleetConfig {
       shard_observer;
 };
 
-/// Per-shard synthetic workloads, materialized once for replay-many use
-/// (benchmarks re-running the same fleet day; generation costs more than
-/// simulation at fleet scale). Index = shard.
-struct FleetWorkload {
-  std::vector<SyntheticWorkload> shards;
-};
-
 struct FleetResult {
   /// Shard-order merge of every shard's SimResult: scalars summed,
   /// horizon/max'd, response-time stats Welford-merged, the percentile
@@ -120,21 +111,10 @@ struct FleetResult {
 [[nodiscard]] SyntheticWorkloadConfig fleet_shard_workload(
     const FleetConfig& config, std::uint32_t shard);
 
-/// Generate every shard's workload up front (parallel under
-/// config.threads). Draining shard s of the result equals the stream
-/// shard s sees in run_fleet(config) — byte-identical either way.
-[[nodiscard]] FleetWorkload materialize_fleet_workload(
-    const FleetConfig& config);
-
 /// Run the fleet, synthesizing each shard's requests on pull (bounded
 /// memory at any fleet size). Throws std::invalid_argument for bad
 /// geometry and std::logic_error when no policy factory is set.
 [[nodiscard]] FleetResult run_fleet(const FleetConfig& config);
-
-/// Run the fleet over pre-materialized workloads (replay-many mode).
-/// `workload.shards.size()` must equal `config.shards`.
-[[nodiscard]] FleetResult run_fleet(const FleetConfig& config,
-                                    const FleetWorkload& workload);
 
 /// Fleet-wide windowed telemetry merged from per-shard recorders: window
 /// `w` of fleet disk `s * disks_per_shard + d` is `shards[s]->at(w, d)`.

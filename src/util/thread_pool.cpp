@@ -1,22 +1,32 @@
 #include "util/thread_pool.h"
 
-#include <atomic>
+#include <algorithm>
 #include <exception>
 
 namespace pr {
 
-ThreadPool::ThreadPool(unsigned threads) {
+ThreadPool::ThreadPool(unsigned threads, std::size_t tasks) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;
   }
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  const std::size_t count =
+      std::min<std::size_t>(threads, std::max<std::size_t>(tasks, 1));
+  workers_.reserve(count);
+  try {
+    for (std::size_t i = 0; i < count; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // Destroying a joinable std::thread terminates the process.
+    shut_down();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { shut_down(); }
+
+void ThreadPool::shut_down() {
   {
     std::lock_guard lock(mutex_);
     stopping_ = true;

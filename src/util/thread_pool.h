@@ -9,6 +9,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -17,8 +18,14 @@ namespace pr {
 
 class ThreadPool {
  public:
-  /// `threads == 0` means hardware_concurrency() (at least 1).
-  explicit ThreadPool(unsigned threads = 0);
+  /// `threads == 0` means hardware_concurrency() (at least 1). `tasks` is
+  /// the most tasks the caller will run at once: the pool starts
+  /// min(threads, max(tasks, 1)) workers, never one that could only idle.
+  /// If a worker cannot be started, the ones already running are joined
+  /// and the exception (std::system_error) is rethrown.
+  explicit ThreadPool(
+      unsigned threads = 0,
+      std::size_t tasks = std::numeric_limits<std::size_t>::max());
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -50,6 +57,8 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// Stop accepting work, let the workers drain the queue, join them.
+  void shut_down();
 
   std::mutex mutex_;
   std::condition_variable cv_;

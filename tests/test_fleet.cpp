@@ -85,7 +85,7 @@ TEST(FleetGeometry, CountChecksOverflowAndZero) {
   EXPECT_THROW((void)fleet_disk_count(0xFFFFFFFFu, 1), std::invalid_argument);
 }
 
-TEST(FleetWorkloadSplit, RemainderGoesToLeadingShards) {
+TEST(FleetShardSplit, RemainderGoesToLeadingShards) {
   FleetConfig fleet = small_fleet(5, 1);
   fleet.workload.request_count = 12'003;
   std::size_t total = 0;
@@ -120,21 +120,6 @@ TEST(FleetMerge, MatchesManualShardFold) {
   // lands at merged index 4.
   EXPECT_EQ(result.merged.ledgers[4].requests,
             result.shards[1].ledgers[0].requests);
-}
-
-TEST(FleetMerge, MaterializedEqualsStreamed) {
-  FleetConfig fleet = small_fleet(3, 1);
-  const FleetWorkload workload = materialize_fleet_workload(fleet);
-  ASSERT_EQ(workload.shards.size(), 3u);
-  expect_identical(run_fleet(fleet).merged,
-                   run_fleet(fleet, workload).merged);
-}
-
-TEST(FleetMerge, WorkloadShardCountMismatchThrows) {
-  FleetConfig fleet = small_fleet(3, 1);
-  FleetWorkload workload = materialize_fleet_workload(fleet);
-  workload.shards.pop_back();
-  EXPECT_THROW((void)run_fleet(fleet, workload), std::invalid_argument);
 }
 
 TEST(FleetMerge, MissingPolicyThrows) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
 
+#include "core/registry.h"
 #include "core/session.h"
 #include "policy/drpm_policy.h"
 #include "policy/hibernator_policy.h"
@@ -227,6 +229,45 @@ TEST_F(PipelineFixture, ThermalLagAttributionStaysInBands) {
     EXPECT_GE(t.temperature.value(), 40.0 - 1e-9);
     EXPECT_LE(t.temperature.value(), 50.0 + 1e-9);
   }
+}
+
+// FIG7's first anomaly, pinned at full scale: on the 8-disk wc98-light
+// day (seed 42, epoch 1 h, S = 40) READ's array AFR equals Static's
+// (17.01 %). READ's worst disk is disk 0, the hot disk it keeps at high
+// speed, and every Static disk runs at high speed too. Each sits at
+// 50 °C with no transition all day and a utilization below the 37.5 %
+// knee, under which the utilization curve is flat. So each scores
+// 14.5 % (temperature) + 2.5 % (utilization) + R(0) = 0.0139 %
+// (frequency), and PRESS cannot tell the two disks apart.
+TEST(FullScaleFig7, ReadWorstDiskScoresLikeStatic) {
+  const auto workload = generate_workload(worldcup98_light_config(42));
+  SystemConfig cfg;
+  cfg.sim.disk_count = 8;
+  cfg.sim.epoch = Seconds{3600.0};
+  const auto run = [&](std::string_view name, ParamMap params) {
+    return SimulationSession(cfg)
+        .with_workload(workload)
+        .with_policy(policies::make(name, std::move(params))())
+        .run();
+  };
+  const SystemReport read = run("read", ParamMap{{"cap", "40"}});
+  const SystemReport none = run("static", ParamMap{});
+
+  EXPECT_EQ(read.worst_disk, 0u);
+  for (const SystemReport* report : {&read, &none}) {
+    const DiskTelemetry& t = report->sim.telemetry[report->worst_disk];
+    EXPECT_EQ(t.temperature.value(), 50.0);
+    EXPECT_EQ(t.transitions_per_day, 0.0);
+    EXPECT_LT(t.utilization, 0.375);
+  }
+  const PressBreakdown& r = read.disk_press[read.worst_disk];
+  const PressBreakdown& s = none.disk_press[none.worst_disk];
+  EXPECT_EQ(r.temperature_afr, s.temperature_afr);
+  EXPECT_EQ(r.utilization_afr, s.utilization_afr);
+  EXPECT_EQ(r.frequency_afr, s.frequency_afr);
+  EXPECT_EQ(r.combined_afr, s.combined_afr);
+  EXPECT_EQ(read.array_afr, none.array_afr);
+  EXPECT_NEAR(read.array_afr, 0.170139, 5e-7);
 }
 
 }  // namespace

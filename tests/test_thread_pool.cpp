@@ -21,6 +21,17 @@ TEST(ThreadPool, DefaultsToAtLeastOneWorker) {
   EXPECT_GE(pool.size(), 1u);
 }
 
+TEST(ThreadPool, StartsNoMoreWorkersThanTasks) {
+  EXPECT_EQ(ThreadPool(64, 2).size(), 2u);
+  EXPECT_EQ(ThreadPool(3, 10).size(), 3u);
+  // Hardware concurrency, capped by one task.
+  EXPECT_EQ(ThreadPool(0, 1).size(), 1u);
+  // No tasks still leaves one worker for a later submit().
+  ThreadPool idle(4, 0);
+  ASSERT_EQ(idle.size(), 1u);
+  EXPECT_EQ(idle.submit([] { return 7; }).get(), 7);
+}
+
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(100);
