@@ -16,12 +16,7 @@
 
 int main() {
   using namespace pr;
-  auto wc = worldcup98_light_config(42);
-  if (bench::quick_mode()) {
-    wc.file_count = 1000;
-    wc.request_count = 80'000;
-  }
-  const auto w = generate_workload(wc);
+  const auto w = generate_workload(worldcup98_light_config(42));
 
   SystemConfig cfg;
   cfg.sim.disk_count = 8;

@@ -2,11 +2,9 @@
 // bench prints the rows the paper's figure plots (ASCII table) and also
 // drops a CSV under results/ so the data can be re-plotted externally.
 //
-// Environment knobs:
-//   PR_BENCH_QUICK=1   scale the Fig. 7 workload down ~20× (CI-sized runs;
-//                      shapes hold, absolute totals shrink)
-//   PR_RESULTS_DIR=dir override the CSV output directory (default
-//                      ./results relative to the current directory)
+// Every bench runs the paper-scale workload, each in about a second
+// (Release, 4 vCPU). PR_RESULTS_DIR=dir overrides the CSV output
+// directory (default ./results relative to the current directory).
 #pragma once
 
 #include <cstdlib>
@@ -19,11 +17,6 @@
 #include "util/table.h"
 
 namespace pr::bench {
-
-inline bool quick_mode() {
-  const char* v = std::getenv("PR_BENCH_QUICK");
-  return v != nullptr && v[0] == '1';
-}
 
 inline std::filesystem::path results_dir() {
   const char* v = std::getenv("PR_RESULTS_DIR");

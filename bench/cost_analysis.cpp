@@ -24,12 +24,7 @@ int main() {
   using namespace pr;
   // The quiet day (ABL1's) — the regime where DPM actually cycles and the
   // trade-off is live.
-  auto wc = worldcup98_quiet_config(42);
-  if (bench::quick_mode()) {
-    wc.file_count = 1000;
-    wc.request_count = 30'000;
-  }
-  const auto w = generate_workload(wc);
+  const auto w = generate_workload(worldcup98_quiet_config(42));
 
   SystemConfig cfg;
   cfg.sim.disk_count = 8;
@@ -97,7 +92,7 @@ int main() {
     // per-disk AFR vector (the closed form assumes a uniform array).
     MonteCarloConfig mc;
     mc.horizon_years = 5.0;
-    mc.trials = bench::quick_mode() ? 300 : 2'000;
+    mc.trials = 2'000;
     const auto mc_result =
         simulate_array_lifetime(RaidLevel::kRaid5, afrs, mc);
 

@@ -5,11 +5,10 @@
 // response time — plus the headline improvement percentages §5.2/§6
 // report. A Static (no energy saving) reference column is included.
 //
-// The grid itself is a declarative ScenarioSpec run through the scenario
-// engine (src/exp/) — scenarios/fig7_overall.ini is the config-file
-// equivalent of what this bench builds in code.
-//
-// PR_BENCH_QUICK=1 shrinks the trace ~20× for smoke runs.
+// The grid itself is scenarios/fig7_overall.ini (read relative to the
+// working directory, so run this from the repository root), run through
+// the scenario engine (src/exp/); this bench is its presentation layer.
+#include <exception>
 #include <iostream>
 #include <map>
 
@@ -31,37 +30,12 @@ struct Key {
 
 }  // namespace
 
-int main() {
-  const bool quick = bench::quick_mode();
-
-  ScenarioSpec spec;
-  spec.name = "fig7_overall";
-  spec.seeds = {42};
-  spec.disks = {6, 8, 10, 12, 14, 16};
-  spec.epochs = {3600.0};
-
-  ScenarioWorkload light;
-  light.name = "light";
-  light.preset = "wc98-light";
-  ScenarioWorkload heavy;
-  heavy.name = "heavy";
-  heavy.preset = "wc98-heavy";
-  if (quick) {
-    light.files = heavy.files = 1000;
-    light.requests = heavy.requests = 80'000;
-  }
-  spec.workloads = {light, heavy};
-
-  spec.policies = {{"read", "READ", {}},
-                   {"maid", "MAID", {}},
-                   {"pdc", "PDC", {}},
-                   {"static", "Static", {}}};
+int main() try {
+  const ScenarioSpec spec = load_scenario_file("scenarios/fig7_overall.ini");
 
   const auto base_cfg = preset_workload_config("wc98-light", 42);
-  std::cout << "generating workloads ("
-            << (quick ? 80'000 : base_cfg.request_count) << " requests, "
-            << (quick ? 1000 : base_cfg.file_count) << " files"
-            << (quick ? ", QUICK mode" : "") << ")...\n";
+  std::cout << "generating workloads (" << base_cfg.request_count
+            << " requests, " << base_cfg.file_count << " files)...\n";
   std::cout << "running "
             << spec.policies.size() * spec.workloads.size() *
                    spec.disks.size()
@@ -194,4 +168,7 @@ int main() {
   }
   std::cout << num(worst, 1) << " (budget S = 40)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

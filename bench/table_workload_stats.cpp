@@ -15,8 +15,7 @@
 
 int main() {
   using namespace pr;
-  auto cfg = worldcup98_light_config(42);
-  if (bench::quick_mode()) cfg.request_count = 100'000;
+  const auto cfg = worldcup98_light_config(42);
   const auto w = generate_workload(cfg);
   const auto stats = compute_trace_stats(w.trace);
 

@@ -6,17 +6,15 @@
 // sweep array sizes × policies through the scenario engine and recommend
 // the cheapest-energy configuration that satisfies both.
 //
-//   $ ./capacity_planning [max_afr_percent] [slo_ms] [--quick]
-//                         [--disks n,n,...]
+//   $ ./capacity_planning [max_afr_percent] [slo_ms] [--disks n,n,...]
 //
 // The two positionals are read in order (AFR budget first, then the SLO);
 // a malformed number is an error that names the argument.
-// --disks overrides the swept array sizes (paper default 6..16). Values
-// are validated through fleet_disk_count, so >4096-disk configurations
-// are accepted up to the 32-bit DiskId space and anything beyond fails
-// loudly instead of overflowing an int-typed disk index.
-#include <algorithm>
-#include <cstdlib>
+// --disks overrides the swept array sizes (paper default 6..16). Each
+// value is parsed strictly (util/parse.h) and validated through
+// fleet_disk_count, so >4096-disk configurations are accepted up to the
+// 32-bit DiskId space and anything beyond fails loudly instead of
+// overflowing an int-typed disk index.
 #include <cstring>
 #include <exception>
 #include <iostream>
@@ -30,44 +28,23 @@
 #include "util/parse.h"
 #include "util/table.h"
 
-namespace {
-
-// Comma-separated array sizes, each range-checked through the fleet id
-// constructor (throws std::invalid_argument on zero or 32-bit overflow).
-std::vector<std::size_t> parse_disk_list(const std::string& text) {
-  std::vector<std::size_t> disks;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = std::min(text.find(',', pos), text.size());
-    const std::string field = text.substr(pos, comma - pos);
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(field.c_str(), &end, 10);
-    if (field.empty() || end != field.c_str() + field.size() ||
-        value > 0xFFFFFFFFull) {
-      throw std::invalid_argument("--disks: bad count '" + field + "'");
-    }
-    disks.push_back(
-        pr::fleet_disk_count(1, static_cast<std::uint32_t>(value)));
-    pos = comma + 1;
-  }
-  return disks;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) try {
   using namespace pr;
   double max_afr = 0.20;
   double slo_ms = 15.0;
-  bool quick = false;
   std::vector<std::size_t> disk_counts = {6, 8, 10, 12, 14, 16};
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--disks") == 0) {
+    if (std::strcmp(argv[i], "--disks") == 0) {
       if (i + 1 >= argc) throw std::invalid_argument("--disks needs a value");
-      disk_counts = parse_disk_list(argv[++i]);
+      const std::string list = argv[++i];
+      disk_counts.clear();
+      for (std::size_t start = 0, end = 0; end != std::string::npos;
+           start = end + 1) {
+        end = list.find(',', start);
+        disk_counts.push_back(fleet_disk_count(
+            1, parse_u32(list.substr(start, end - start), "--disks")));
+      }
     } else if (positional == 0) {
       max_afr = parse_double(argv[i], "max_afr_percent") / 100.0;
       ++positional;
@@ -88,10 +65,6 @@ int main(int argc, char** argv) try {
   ScenarioWorkload day;
   day.name = "day";
   day.preset = "wc98-light";
-  if (quick) {
-    day.files = 1'000;
-    day.requests = 80'000;
-  }
   spec.workloads = {day};
   spec.policies = {{"read", "READ", {}},
                    {"maid", "MAID", {}},

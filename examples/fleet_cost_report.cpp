@@ -7,67 +7,38 @@
 //
 //   $ ./fleet_cost_report [policy] [workload] [out.json] [shards] [disks]
 //     policy:   read|maid|pdc|static          (default read)
-//     workload: web|proxy|ftp|email           (default web)
+//     workload: web|proxy|ftp|email           (default web; web is the
+//               wc98-light preset, and any other scenario preset works)
 //     shards:   array count in the fleet      (default 1)
 //     disks:    disks per shard/array         (default 8)
 //
-// With shards > 1 the run goes through the sharded fleet simulator
-// (sim/fleet_sim): shards × disks arrays merged into one scored result.
-// Geometry is validated through fleet_disk_count, so >4096-disk fleets
-// are first-class and anything past the 32-bit DiskId space fails loudly
-// instead of overflowing an int-typed index.
-#include <cstdlib>
+// The day runs as a one-cell scenario through the scenario engine; with
+// shards > 1 the cell is a `[fleet]` of shards × disks arrays (sim/
+// fleet_sim) merged into one scored result. Geometry is validated through
+// fleet_disk_count, so >4096-disk fleets are first-class and anything past
+// the 32-bit DiskId space fails loudly instead of overflowing an int-typed
+// index.
+#include <algorithm>
 #include <exception>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "core/report_io.h"
-#include "core/session.h"
+#include "exp/scenario_engine.h"
 #include "press/economics.h"
 #include "press/montecarlo.h"
 #include "press/mttdl.h"
 #include "sim/fleet_sim.h"
+#include "util/parse.h"
 #include "util/table.h"
-#include "workload/synthetic.h"
 
 namespace {
 
-pr::SyntheticWorkloadConfig pick_workload(const std::string& name) {
-  using namespace pr;
-  SyntheticWorkloadConfig cfg;
-  if (name == "proxy") {
-    cfg = proxy_server_config();
-  } else if (name == "ftp") {
-    cfg = ftp_mirror_config();
-  } else if (name == "email") {
-    cfg = email_server_config();
-  } else {
-    cfg = worldcup98_light_config();
-  }
-  // Keep the example snappy regardless of preset. request_count is the
-  // fleet total in fleet mode (split across shards).
-  cfg.request_count = std::min<std::size_t>(cfg.request_count, 300'000);
-  cfg.file_count = std::min<std::size_t>(cfg.file_count, 20'000);
-  return cfg;
-}
-
-// Registry name for the session (fleet mode needs a name-based policy so
-// every shard gets a fresh instance; see core/registry.h).
+// Registry name for the scenario policy (see core/registry.h).
 std::string pick_policy(const std::string& name) {
   if (name == "maid" || name == "pdc" || name == "static") return name;
   return "read";
-}
-
-// Parse a positive integer that must fit the 32-bit fleet id space.
-std::uint32_t parse_u32(const char* text, const char* what) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || value == 0 ||
-      value > 0xFFFFFFFFull) {
-    throw std::invalid_argument(std::string(what) + " must be in [1, 2^32): " +
-                                text);
-  }
-  return static_cast<std::uint32_t>(value);
 }
 
 }  // namespace
@@ -79,22 +50,34 @@ int main(int argc, char** argv) try {
   const std::string json_path = argc > 3 ? argv[3] : "";
   const std::uint32_t shards = argc > 4 ? parse_u32(argv[4], "shards") : 1;
   const std::uint32_t disks = argc > 5 ? parse_u32(argv[5], "disks") : 8;
-  // Checked geometry: throws before any simulation when shards × disks
-  // leaves the 32-bit DiskId space.
+  // Checked geometry: throws before any simulation when a factor is zero
+  // or shards × disks leaves the 32-bit DiskId space.
   const std::uint32_t fleet_disks = fleet_disk_count(shards, disks);
+
+  ScenarioWorkload day;
+  day.preset = workload_name == "web" ? "wc98-light" : workload_name;
+  // Keep the example snappy regardless of preset. requests is the fleet
+  // total with shards > 1 (split across shards).
+  const SyntheticWorkloadConfig preset = preset_workload_config(day.preset, 42);
+  day.requests = std::min<std::size_t>(preset.request_count, 300'000);
+  day.files = std::min<std::size_t>(preset.file_count, 20'000);
+
+  ScenarioSpec spec;
+  spec.name = "fleet_cost_report";
+  spec.disks = {disks};
+  spec.workloads = {day};
+  spec.policies = {{policy_name, "", {}}};
+  if (shards > 1) {
+    spec.fleet.enabled = true;
+    spec.fleet.shards = shards;
+    spec.fleet.threads = 0;
+  }
 
   std::cout << "simulating a " << workload_name << " day on a " << fleet_disks
             << "-disk fleet (" << shards << " x " << disks << ") under "
             << policy_name << "...\n";
-
-  SystemConfig config;
-  config.sim.disk_count = disks;
-  config.sim.epoch = Seconds{3600.0};
-  SimulationSession session(config);
-  session.with_workload(pick_workload(workload_name))
-      .with_policy(policy_name);
-  if (shards > 1) session.with_fleet(shards, disks, /*threads=*/0);
-  const SystemReport report = session.run();
+  const SystemReport report =
+      std::move(run_scenario(spec).cells.front().report);
   std::cout << "\n" << report.summary() << "\n";
 
   // ------------------------------------------------------ annual budget

@@ -5,7 +5,7 @@
 // disks spin down, where does the queue build, which hour burns the
 // energy).
 //
-//   $ ./telemetry_timeline [policy] [--quick]
+//   $ ./telemetry_timeline [policy]
 //
 // `policy` is any pr::policies registry name (default "read").
 // Output files in the working directory:
@@ -29,15 +29,12 @@
 int main(int argc, char** argv) {
   using namespace pr;
 
-  std::string policy = "read";
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      policy = argv[i];
-    }
+  if (argc > 2) {
+    std::cerr << "unexpected argument '" << argv[2]
+              << "'; usage: telemetry_timeline [policy]\n";
+    return 1;
   }
+  const std::string policy = argc > 1 ? argv[1] : "read";
   if (!policies::contains(policy)) {
     std::cerr << "unknown policy '" << policy << "'; valid names:";
     for (const auto& name : policies::names()) std::cerr << ' ' << name;
@@ -45,12 +42,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto workload_config = worldcup98_light_config(42);
-  if (quick) {
-    workload_config.file_count = 1'000;
-    workload_config.request_count = 80'000;
-  }
-  const auto workload = generate_workload(workload_config);
+  const auto workload = generate_workload(worldcup98_light_config(42));
   std::cout << "policy " << policy << ", "
             << workload.trace.requests.size() << " requests, 8 disks\n\n";
 

@@ -4,13 +4,12 @@
 // it does (which disk is the reliability bottleneck and which factor —
 // temperature, utilization or transition frequency — drives it).
 //
-//   $ ./webserver_day [--quick]
+//   $ ./webserver_day
 //
 // Set PR_TRACE_JSONL=<prefix> to also stream each policy's control-plane
 // event log (speed transitions, epochs, migrations) to
 // <prefix>.<policy>.jsonl via the observability layer (docs/OBSERVABILITY.md).
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -22,13 +21,13 @@
 
 int main(int argc, char** argv) {
   using namespace pr;
-  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-
-  auto workload_config = worldcup98_light_config(42);
-  if (quick) {
-    workload_config.file_count = 1'000;
-    workload_config.request_count = 80'000;
+  if (argc > 1) {
+    std::cerr << "unexpected argument '" << argv[1]
+              << "'; webserver_day takes none\n";
+    return 1;
   }
+
+  const auto workload_config = worldcup98_light_config(42);
   std::cout << "simulating one web-server day: "
             << workload_config.request_count << " requests over "
             << workload_config.file_count << " files\n\n";

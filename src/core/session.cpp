@@ -14,7 +14,6 @@ SimulationSession& SimulationSession::with_workload(const FileSet& files,
   files_ = &files;
   trace_ = &trace;
   source_ = nullptr;
-  synthetic_.reset();
   return *this;
 }
 
@@ -23,32 +22,12 @@ SimulationSession& SimulationSession::with_source(const FileSet& files,
   files_ = &files;
   source_ = &source;
   trace_ = nullptr;
-  synthetic_.reset();
   return *this;
 }
 
 SimulationSession& SimulationSession::with_workload(
     const SyntheticWorkload& workload) {
   return with_workload(workload.files, workload.trace);
-}
-
-SimulationSession& SimulationSession::with_workload(
-    const SyntheticWorkloadConfig& workload) {
-  synthetic_ = workload;
-  files_ = nullptr;
-  trace_ = nullptr;
-  source_ = nullptr;
-  return *this;
-}
-
-SimulationSession& SimulationSession::with_fleet(std::uint32_t shards,
-                                                 std::uint32_t disks_per_shard,
-                                                 unsigned threads) {
-  (void)fleet_disk_count(shards, disks_per_shard);  // geometry check
-  fleet_shards_ = shards;
-  fleet_threads_ = threads;
-  config_.sim.disk_count = disks_per_shard;
-  return *this;
 }
 
 SimulationSession& SimulationSession::with_policy(std::string_view name) {
@@ -97,44 +76,6 @@ SimulationSession& SimulationSession::with_epoch(Seconds epoch) {
 }
 
 SystemReport SimulationSession::run() {
-  if (fleet_shards_ > 0) {
-    if (!synthetic_) {
-      throw std::logic_error(
-          "SimulationSession::run: fleet mode needs a "
-          "SyntheticWorkloadConfig workload (with_workload(config))");
-    }
-    if (!factory_) {
-      throw std::logic_error(
-          "SimulationSession::run: fleet mode needs a name-based policy "
-          "(with_policy(name)) so each shard gets a fresh instance");
-    }
-    if (!observers_.empty() || faults_ != nullptr) {
-      throw std::logic_error(
-          "SimulationSession::run: observers/faults are per-array; use "
-          "run_fleet() with FleetConfig::shard_observer/shard_faults");
-    }
-    FleetConfig fleet;
-    fleet.shard = config_.sim;
-    fleet.shards = fleet_shards_;
-    fleet.threads = fleet_threads_;
-    fleet.workload = *synthetic_;
-    fleet.base_seed = synthetic_->seed;
-    fleet.policy = factory_;
-    return score(PressModel{config_.press},
-                 std::move(run_fleet(fleet).merged));
-  }
-  if (synthetic_ && source_ == nullptr) {
-    SyntheticSource source(*synthetic_);
-    // Re-enter through the streaming path with the temporary source (the
-    // `source_ == nullptr` guard stops the recursion); the pointers are
-    // restored so the session stays re-runnable with a fresh source.
-    files_ = &source.files();
-    source_ = &source;
-    SystemReport report = run();
-    files_ = nullptr;
-    source_ = nullptr;
-    return report;
-  }
   if (files_ == nullptr || (trace_ == nullptr && source_ == nullptr)) {
     throw std::logic_error("SimulationSession::run: no workload configured");
   }

@@ -1,6 +1,7 @@
-// session.h — the library's front door. A SimulationSession gathers
-// everything one run needs — config, workload, policy, observers — with a
-// fluent builder, then runs the simulation and scores it with PRESS:
+// session.h — the library's front door for one array. A SimulationSession
+// gathers everything one run needs — config, workload, policy, observers,
+// fault plan — with a fluent builder, then runs the simulation and scores
+// it with PRESS:
 //
 //   pr::TimeSeriesRecorder timeline{pr::Seconds{60.0}};
 //   auto report = pr::SimulationSession(config)
@@ -9,20 +10,17 @@
 //                     .with_observer(timeline)
 //                     .run();
 //
-// Every code path routes through a session — the old bare evaluate()
-// wrapper in core/system.h was removed after its call sites migrated.
+// A fleet of arrays runs through sim/fleet_sim.h's run_fleet, or a
+// `[fleet]` scenario section (exp/scenario.h), not through a session.
 #pragma once
 
 #include <memory>
 #include <string_view>
 
-#include <optional>
-
 #include "core/registry.h"
 #include "core/system.h"
 #include "fault/fault_plan.h"
 #include "obs/observer.h"
-#include "sim/fleet_sim.h"
 #include "workload/synthetic.h"
 
 namespace pr {
@@ -34,25 +32,6 @@ class SimulationSession {
   /// Point the session at a workload. The files/trace must outlive run().
   SimulationSession& with_workload(const FileSet& files, const Trace& trace);
   SimulationSession& with_workload(const SyntheticWorkload& workload);
-
-  /// Point the session at a synthetic workload *template* (copied). The
-  /// only workload form fleet mode accepts — each shard derives its own
-  /// stream from it — and also usable single-array (the session
-  /// synthesizes on pull via SyntheticSource).
-  SimulationSession& with_workload(const SyntheticWorkloadConfig& workload);
-
-  /// Switch the session to fleet mode: `shards` independent arrays of
-  /// `disks_per_shard` disks fanned over `threads` workers (1 = inline,
-  /// 0 = hardware concurrency; the knob never changes result bytes).
-  /// Fleet mode requires a name-based policy (with_policy(name), so every
-  /// shard gets a fresh instance) and a SyntheticWorkloadConfig workload;
-  /// observers and fault plans are per-array concerns — use run_fleet()
-  /// and FleetConfig::shard_observer / shard_faults directly for those.
-  /// Throws std::invalid_argument for bad geometry (zero factors or more
-  /// than 2^32-1 total disks).
-  SimulationSession& with_fleet(std::uint32_t shards,
-                                std::uint32_t disks_per_shard,
-                                unsigned threads = 1);
 
   /// Point the session at a streaming workload: `files` is the universe,
   /// `source` produces the requests (trace::open, SyntheticSource, or any
@@ -95,9 +74,6 @@ class SimulationSession {
   const FileSet* files_ = nullptr;
   const Trace* trace_ = nullptr;
   RequestSource* source_ = nullptr;         // streaming workload
-  std::optional<SyntheticWorkloadConfig> synthetic_;  // template workload
-  std::uint32_t fleet_shards_ = 0;          // 0 = single-array mode
-  unsigned fleet_threads_ = 1;
   PolicyFactory factory_;                   // name-based (fresh per run)
   std::unique_ptr<Policy> owned_policy_;    // adopted instance
   Policy* borrowed_policy_ = nullptr;       // caller-owned instance

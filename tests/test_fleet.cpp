@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/registry.h"
-#include "core/session.h"
+#include "core/system.h"
 #include "exp/scenario.h"
 #include "exp/scenario_engine.h"
 #include "exp/scenario_report.h"
@@ -161,77 +161,6 @@ TEST(FleetDeterminism, PerShardJsonlIsByteIdentical) {
   }
 }
 
-// --------------------------------------------------------------- session
-
-TEST(FleetSession, RunsThroughSimulationSession) {
-  SystemConfig config;
-  config.sim.disk_count = 999;  // with_fleet overrides with disks_per_shard
-  SyntheticWorkloadConfig wc = worldcup98_light_config(42);
-  wc.file_count = 120;
-  wc.request_count = 12'000;
-  const SystemReport report = SimulationSession(config)
-                                  .with_workload(wc)
-                                  .with_policy("read")
-                                  .with_fleet(3, 4)
-                                  .run();
-  EXPECT_EQ(report.sim.ledgers.size(), 12u);
-  EXPECT_EQ(report.sim.user_requests, 12'000u);
-
-  // Byte-identical to the direct run_fleet path.
-  const FleetResult direct = run_fleet(small_fleet(3, 1));
-  EXPECT_EQ(report.sim.total_energy.value(),
-            direct.merged.total_energy.value());
-  EXPECT_EQ(report.sim.response_time.mean(),
-            direct.merged.response_time.mean());
-}
-
-TEST(FleetSession, RejectsUnsupportedCombos) {
-  SyntheticWorkloadConfig wc = worldcup98_light_config(42);
-  wc.file_count = 50;
-  wc.request_count = 500;
-  // Fleet needs a name-based policy (fresh instance per shard).
-  auto owned = policies::make("read")();
-  EXPECT_THROW((void)SimulationSession()
-                   .with_workload(wc)
-                   .with_policy(std::move(owned))
-                   .with_fleet(2, 2)
-                   .run(),
-               std::logic_error);
-  // ...and a synthetic workload config.
-  EXPECT_THROW((void)SimulationSession()
-                   .with_policy("read")
-                   .with_fleet(2, 2)
-                   .run(),
-               std::logic_error);
-  // Geometry is checked at with_fleet time.
-  EXPECT_THROW((void)SimulationSession().with_fleet(0, 8),
-               std::invalid_argument);
-}
-
-TEST(FleetSession, SyntheticConfigWorksSingleArray) {
-  // A SyntheticWorkloadConfig workload without with_fleet runs the
-  // ordinary single-array path, byte-identical to materializing the same
-  // workload up front.
-  SyntheticWorkloadConfig wc = worldcup98_light_config(7);
-  wc.file_count = 60;
-  wc.request_count = 2'000;
-  SystemConfig config;
-  config.sim.disk_count = 4;
-  const SystemReport streamed = SimulationSession(config)
-                                    .with_workload(wc)
-                                    .with_policy("read")
-                                    .run();
-  const SyntheticWorkload workload = generate_workload(wc);
-  const SystemReport materialized = SimulationSession(config)
-                                        .with_workload(workload)
-                                        .with_policy("read")
-                                        .run();
-  EXPECT_EQ(streamed.sim.total_energy.value(),
-            materialized.sim.total_energy.value());
-  EXPECT_EQ(streamed.sim.response_time.mean(),
-            materialized.sim.response_time.mean());
-}
-
 // -------------------------------------------------------------- scenario
 
 constexpr const char* kFleetScenario = R"(
@@ -288,6 +217,35 @@ TEST(FleetScenario, ComposesWithFaultsDeterministically) {
   EXPECT_EQ(one, many);
   // The widened fault schema must survive the fleet path.
   EXPECT_NE(one.find("rate_scale"), std::string::npos);
+}
+
+TEST(FleetScenario, OneCellMatchesRunFleet) {
+  // A one-cell [fleet] scenario assembles the same FleetConfig a direct
+  // run_fleet caller would, so the scored results agree exactly.
+  const FleetConfig fleet = small_fleet(3, 1);
+  ScenarioSpec spec;
+  spec.threads = 1;
+  spec.seeds = {fleet.base_seed};
+  spec.disks = {fleet.shard.disk_count};
+  spec.epochs = {fleet.shard.epoch.value()};
+  ScenarioWorkload day;
+  day.preset = "wc98-light";
+  day.files = fleet.workload.file_count;
+  day.requests = fleet.workload.request_count;
+  spec.workloads = {day};
+  spec.policies = {{"read", "", {}}};
+  spec.fleet.enabled = true;
+  spec.fleet.shards = fleet.shards;
+
+  const ScenarioResult result = run_scenario(spec);
+  ASSERT_EQ(result.cells.size(), 1u);
+  const SystemReport& cell = result.cells.front().report;
+  const SystemReport direct = score(PressModel{}, run_fleet(fleet).merged);
+  EXPECT_EQ(cell.sim.total_energy.value(), direct.sim.total_energy.value());
+  EXPECT_EQ(cell.sim.response_time.mean(), direct.sim.response_time.mean());
+  EXPECT_EQ(cell.sim.user_requests, direct.sim.user_requests);
+  EXPECT_EQ(cell.sim.ledgers.size(), direct.sim.ledgers.size());
+  EXPECT_EQ(cell.sim.ledgers.size(), 12u);
 }
 
 TEST(FleetScenario, RejectsNonSyntheticWorkloads) {
